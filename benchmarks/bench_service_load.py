@@ -38,13 +38,15 @@ bucket machinery rather than throttling) versus the open server.
 Same 3% budget, same best-of-repeats protocol.
 
 The worker-count sweep (``--worker-counts``, default ``1,2,4``)
-measures horizontal sharding: an identify-only closed loop against the
-same gallery served by 1 (in-process control), 2, and 4 sharded worker
-processes.  Counts above ``os.cpu_count()`` are skipped — running 4
-matcher processes on fewer cores measures contention, not sharding —
-and the record says so (``skipped_counts`` / ``skip_reason``) with an
-honest ``cpus`` field, leaving ``speedup`` null when the top count
-could not run.
+measures horizontal sharding: an identify-only closed loop served by 1
+(in-process control), 2, and 4 sharded worker processes, on a 16-entry
+and a 64-entry gallery.  Every count runs ``--repeats`` times per
+gallery, alternating which count goes first, and the record reports
+the median and IQR per count.  Counts above ``os.cpu_count()`` are
+skipped — running 4 matcher processes on fewer cores measures
+contention, not sharding — and the record says so (``skipped_counts``
+/ ``skip_reason``) with an honest ``cpus`` field, leaving ``speedup``
+null when the top count could not run.
 """
 
 from __future__ import annotations
@@ -197,8 +199,14 @@ def _run_arm(
         disable_telemetry()
 
 
-def _worker_arm(collection, matcher, *, workers, clients, cycles):
-    """One worker-count arm: identify-only closed loop, both modes."""
+#: Gallery sizes (subjects, each enrolled on both devices) of the worker
+#: sweep: the load bench's 16-entry gallery, where a comparison is too
+#: cheap for sharding to pay, and a 64-entry one, where it does.
+WORKER_GALLERY_SUBJECTS = (GALLERY_SUBJECTS, 32)
+
+
+def _worker_arm(collection, matcher, *, workers, subjects, clients, cycles):
+    """One worker-count run: identify-only closed loop, both modes."""
     with tempfile.TemporaryDirectory() as tmp:
         gallery = GalleryIndex(Path(tmp) / "gallery")
         batching = BatchingConfig(
@@ -210,7 +218,7 @@ def _worker_arm(collection, matcher, *, workers, clients, cycles):
         )
         with ServiceRunner(server) as (host, port):
             with ServiceClient(host, port) as setup:
-                for sid in range(GALLERY_SUBJECTS):
+                for sid in range(subjects):
                     for device in DEVICES:
                         template = collection.get(
                             sid, "right_index", device, 0
@@ -247,10 +255,9 @@ def _worker_arm(collection, matcher, *, workers, clients, cycles):
             with ServiceClient(host, port) as client:
                 snapshot = client.stats()
     return {
-        "workers": workers,
         "requests": requests,
         "wall_seconds": round(wall, 3),
-        "throughput_rps": round(requests / wall, 1),
+        "throughput_rps": round(requests / wall, 2),
         "worker_dispatches": sum(
             snapshot["workers"]["dispatches"].values()
         ),
@@ -258,38 +265,65 @@ def _worker_arm(collection, matcher, *, workers, clients, cycles):
     }
 
 
+def _median_iqr(values):
+    q1, median, q3 = np.percentile(np.asarray(values, dtype=np.float64),
+                                   (25.0, 50.0, 75.0))
+    return {"median": round(float(median), 2),
+            "iqr": [round(float(q1), 2), round(float(q3), 2)]}
+
+
 #: Acceptance target: identify throughput at 4 workers vs 1.
 WORKER_SPEEDUP_TARGET = 2.5
 
 
-def _worker_sweep(collection, matcher, *, clients, cycles, counts):
+def _worker_sweep(collection, matcher, *, clients, cycles, counts, repeats):
     """Sharded identify throughput across worker counts (1 = control).
 
-    Skips counts above the core count rather than reporting a number
-    that measures oversubscription; the record carries the honest
-    ``cpus`` and the skip reason so a reader can tell a small runner
-    from a regression.
+    Each gallery size runs ``repeats`` rounds of every count; the order
+    of the counts alternates between rounds so drift in host speed
+    lands on both sides.  The record carries every run, the median and
+    IQR per count, and how many rounds the top count won against the
+    in-process control.  Counts above the core count are skipped rather
+    than reported as a number that measures oversubscription.
     """
     cpus = os.cpu_count() or 1
     runnable = [c for c in counts if c <= cpus]
     skipped = [c for c in counts if c > cpus]
-    arms = []
-    for count in runnable:
-        arm = _worker_arm(
-            collection, matcher, workers=count, clients=clients, cycles=cycles
-        )
-        arms.append(arm)
-        print(
-            f"workers={count}: {arm['throughput_rps']} identify/s "
-            f"({arm['worker_dispatches']} worker dispatches)"
-        )
-    by_count = {arm["workers"]: arm for arm in arms}
     top = max(runnable) if runnable else 0
-    speedup = None
-    if top > 1 and 1 in by_count:
-        speedup = round(
-            by_count[top]["throughput_rps"] / by_count[1]["throughput_rps"], 2
-        )
+    galleries = []
+    for subjects in WORKER_GALLERY_SUBJECTS:
+        runs = {count: [] for count in runnable}
+        for round_index in range(repeats):
+            order = runnable if round_index % 2 == 0 else runnable[::-1]
+            for count in order:
+                runs[count].append(_worker_arm(
+                    collection, matcher, workers=count, subjects=subjects,
+                    clients=clients, cycles=cycles,
+                ))
+        rps = {c: [r["throughput_rps"] for r in runs[c]] for c in runnable}
+        entry = {
+            "gallery_entries": subjects * len(DEVICES),
+            "throughput_rps": {str(c): _median_iqr(rps[c]) for c in runnable},
+            "runs": {str(c): runs[c] for c in runnable},
+            "speedup": None,
+            "top_wins": None,
+        }
+        if top > 1 and 1 in rps:
+            entry["speedup"] = round(
+                entry["throughput_rps"][str(top)]["median"]
+                / entry["throughput_rps"]["1"]["median"], 2
+            )
+            entry["top_wins"] = sum(
+                t > c for t, c in zip(rps[top], rps[1])
+            )
+        galleries.append(entry)
+        for count in runnable:
+            stats = entry["throughput_rps"][str(count)]
+            print(
+                f"{entry['gallery_entries']} entries, workers={count}: "
+                f"median {stats['median']} identify/s "
+                f"(IQR {stats['iqr'][0]}-{stats['iqr'][1]}, {repeats} runs)"
+            )
     if skipped:
         print(
             f"worker counts {skipped} skipped: only {cpus} CPU(s) — "
@@ -298,15 +332,15 @@ def _worker_sweep(collection, matcher, *, clients, cycles, counts):
     return {
         "counts_requested": counts,
         "cpus": cpus,
+        "repeats": repeats,
         "skipped_counts": skipped,
         "skip_reason": (
             f"host has {cpus} CPU(s); counts above that would measure "
             "core contention, not sharding" if skipped else None
         ),
-        "speedup": speedup,
-        "speedup_measured_at": top if speedup is not None else None,
+        "speedup_measured_at": top if top > 1 else None,
         "speedup_target": WORKER_SPEEDUP_TARGET,
-        "arms": arms,
+        "galleries": galleries,
     }
 
 
@@ -376,7 +410,8 @@ def main() -> None:
     parser.add_argument("--cycles", type=int, default=4)
     parser.add_argument(
         "--repeats", type=int, default=2,
-        help="runs per tracing-overhead arm (best-of damps noise)",
+        help="runs per tracing/auth-overhead arm (best-of damps noise) "
+             "and per worker count in the worker sweep (median + IQR)",
     )
     parser.add_argument(
         "--hot",
@@ -394,7 +429,9 @@ def main() -> None:
     parser.add_argument("--out", default="service_load.json")
     args = parser.parse_args()
 
-    config = StudyConfig(n_subjects=max(GALLERY_SUBJECTS, max(args.hot)))
+    config = StudyConfig(
+        n_subjects=max(max(WORKER_GALLERY_SUBJECTS), max(args.hot))
+    )
     collection = build_collection(config)
     matcher = BioEngineMatcher()
 
@@ -423,7 +460,7 @@ def main() -> None:
 
     worker_sweep = _worker_sweep(
         collection, matcher, clients=args.clients, cycles=args.cycles,
-        counts=args.worker_counts,
+        counts=args.worker_counts, repeats=args.repeats,
     )
 
     tracing = _tracing_overhead(

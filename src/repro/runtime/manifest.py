@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -188,147 +189,76 @@ def _supervisor_stats(snapshot: dict) -> dict:
     }
 
 
-def _service_stats(snapshot: dict) -> dict:
-    """Online-serving rollup: what the service layer did during the run.
+#: A ``{label}`` (or ``{label=a|b}``) placeholder in a rollup path.
+_PLACEHOLDER = re.compile(r"\{(\w+)(?:=([\w|]+))?\}")
 
-    All zeros unless the process hosted a
-    :class:`~repro.service.server.VerificationServer` (``repro serve``
-    writes a manifest at shutdown); the CI smoke check asserts request
-    and batch counts from this block alone.
+_SECTIONS = {"counter": "counters", "gauge": "gauges",
+             "histogram": "histograms"}
+
+
+def _reading(snapshot: dict, kind: str, name: str, reading: str):
+    """One recorder metric, reduced the way a rollup entry asks."""
+    if kind == "counter":
+        return snapshot["counters"].get(name, 0)
+    if kind == "gauge":
+        value = snapshot["gauges"].get(name, 0.0)
+        return value > 0.0 if reading == "flag" else int(value)
+    hist = snapshot["histograms"].get(name) or {}
+    count = hist.get("count", 0)
+    if reading == "count":
+        return count
+    if reading == "sum":
+        return round(hist.get("sum", 0.0), 6)
+    if reading == "max":
+        return int(hist.get("max", 0) or 0)
+    return round(1000.0 * hist["sum"] / count, 3) if count else None
+
+
+def _serving_rollups(snapshot: dict) -> dict:
+    """The ``service`` and ``trace`` rollups: what the serving layer did.
+
+    One loop over the serving metric declarations
+    (:data:`repro.service.stats.FAMILIES`): each ``rollup`` entry names
+    where a recorder metric lands and how it is read.  All zeros unless
+    the process hosted a server (``repro serve`` writes a manifest at
+    shutdown); the CI smoke checks assert request, batch, index and WAL
+    counts from these blocks alone.
     """
-    counters = snapshot["counters"]
-    batch = snapshot["histograms"].get("service.batch_size") or {}
-    latency = snapshot["histograms"].get("service.latency_seconds") or {}
-    batches = counters.get("service.batches", 0)
-    jobs = counters.get("service.batched_jobs", 0)
-    mean_latency_ms = None
-    if latency.get("count"):
-        mean_latency_ms = round(1000.0 * latency["sum"] / latency["count"], 3)
-    return {
-        "requests": counters.get("service.requests", 0),
-        "enroll": counters.get("service.requests.enroll", 0),
-        "verify": counters.get("service.requests.verify", 0),
-        "identify": counters.get("service.requests.identify", 0),
-        "accepted": counters.get("service.accepted", 0),
-        "rejected": counters.get("service.rejected", 0),
-        "enroll_rejected": counters.get("service.enroll.rejected", 0),
-        "overloads": counters.get("service.overload", 0),
-        "deadline_exceeded": counters.get("service.deadline_exceeded", 0),
-        "batches": batches,
-        "batched_jobs": jobs,
-        "mean_batch_size": round(jobs / batches, 3) if batches else None,
-        "max_batch_size": int(batch.get("max", 0) or 0),
-        "mean_latency_ms": mean_latency_ms,
-        "auth": {
-            "ok": counters.get("service.auth.ok", 0),
-            "unauthorized": counters.get("service.auth.unauthorized", 0),
-            "forbidden": counters.get("service.auth.forbidden", 0),
-            "rate_limited": counters.get("service.rate_limited", 0),
-        },
-        "replication_rebootstraps": counters.get(
-            "replication.rebootstraps", 0
-        ),
-        "index": _index_stats(snapshot),
-        "workers": _worker_stats(snapshot),
-        "wal": _wal_stats(snapshot),
-    }
+    from ..service.stats import FAMILIES
 
-
-def _wal_stats(snapshot: dict) -> dict:
-    """Durability rollup: write-ahead log activity during the run.
-
-    All zeros unless the process hosted a WAL-backed
-    :class:`~repro.service.gallery.GalleryIndex`; the CI durability
-    smoke asserts replay/torn-tail handling from this block alone.
-    """
-    counters = snapshot["counters"]
-    return {
-        "appends": counters.get("wal.appends", 0),
-        "bytes": counters.get("wal.bytes", 0),
-        "rotations": counters.get("wal.rotations", 0),
-        "checkpoints": counters.get("wal.checkpoints", 0),
-        "segments_removed": counters.get("wal.segments_removed", 0),
-        "replayed": counters.get("wal.replayed", 0),
-        "torn_truncated": counters.get("wal.torn_truncated", 0),
-        "reapplied": counters.get("gallery.wal_reapplied", 0),
-        "corrupt_dropped": counters.get("gallery.corrupt_dropped", 0),
-    }
-
-
-def _worker_stats(snapshot: dict) -> dict:
-    """Sharded-serving rollup: what the worker pool did during the run.
-
-    All zeros when serving ran in-process (``REPRO_SERVE_WORKERS`` <= 1
-    or no server at all); a chaos smoke can assert respawns — and that
-    the pool never degraded — from the manifest alone.
-    """
-    counters = snapshot["counters"]
-    gauges = snapshot["gauges"]
-    return {
-        "configured": int(gauges.get("service.worker.configured", 0.0)),
-        "alive": int(gauges.get("service.worker.alive", 0.0)),
-        "degraded": gauges.get("service.worker.degraded", 0.0) > 0.0,
-        "dispatches": counters.get("service.worker.dispatches", 0),
-        "dispatched_jobs": counters.get("service.worker.dispatched_jobs", 0),
-        "respawns": counters.get("service.worker.respawns", 0),
-    }
-
-
-def _index_stats(snapshot: dict) -> dict:
-    """Two-stage ``/identify`` rollup: prefilter index activity.
-
-    ``searches`` tallies ``/identify`` calls per recall mode,
-    ``candidates_scored`` the exact comparisons those searches spent,
-    and ``prefilter_seconds_total`` the wall time spent inside the
-    descriptor top-K scan (two-stage searches only) — enough for the
-    smoke check to assert that the index actually prefiltered.
-    """
-    counters = snapshot["counters"]
-    prefilter = snapshot["histograms"].get("index.prefilter_seconds") or {}
-    prefix = "index.recall_mode."
-    searches = {
-        name[len(prefix):]: count
-        for name, count in sorted(counters.items())
-        if name.startswith(prefix)
-    }
-    return {
-        "searches": searches,
-        "candidates_scored": counters.get("index.candidates", 0),
-        "prefilter_searches": prefilter.get("count", 0),
-        "prefilter_seconds_total": round(prefilter.get("sum", 0.0), 6),
-    }
-
-
-def _phase_mean_ms(histograms: dict, name: str) -> Optional[float]:
-    hist = histograms.get(name) or {}
-    if not hist.get("count"):
-        return None
-    return round(1000.0 * hist["sum"] / hist["count"], 3)
-
-
-def _trace_stats(snapshot: dict) -> dict:
-    """Request-tracing rollup: how traced serving time decomposed.
-
-    Empty-ish (zero traces, ``None`` phase means) unless the process
-    served traced requests with telemetry enabled; the phase means come
-    from the ``service.phase.*_seconds`` histograms the micro-batcher
-    feeds per pair job.
-    """
-    counters = snapshot["counters"]
-    histograms = snapshot["histograms"]
-    return {
-        "requests_traced": counters.get("service.traces", 0),
-        "slow_requests": counters.get("service.slow_requests", 0),
-        "mean_queue_wait_ms": _phase_mean_ms(
-            histograms, "service.phase.queue_wait_seconds"
-        ),
-        "mean_batch_wait_ms": _phase_mean_ms(
-            histograms, "service.phase.batch_wait_seconds"
-        ),
-        "mean_match_ms": _phase_mean_ms(
-            histograms, "service.phase.match_seconds"
-        ),
-    }
+    blocks: dict = {"service": {}, "trace": {}}
+    for family in FAMILIES:
+        section = snapshot[_SECTIONS[family.kind]]
+        for entry in family.rollup:
+            path, _, reading = entry.partition(":")
+            *parents, leaf = path.split("/")
+            node = blocks
+            for key in parents:
+                node = node.setdefault(key, {})
+            placeholder = _PLACEHOLDER.fullmatch(leaf)
+            if placeholder is None:
+                name = next(t for t in family.telemetry if "{" not in t)
+                node[leaf] = _reading(snapshot, family.kind, name, reading)
+                continue
+            label, listed = placeholder.groups()
+            template = next(t for t in family.telemetry
+                            if "{%s}" % label in t)
+            prefix = template[:template.index("{")]
+            values = (listed.split("|") if listed else family.values) or [
+                name[len(prefix):] for name in sorted(section)
+                if name.startswith(prefix)
+            ]
+            for value in values:
+                node[value] = _reading(
+                    snapshot, family.kind, template.format(**{label: value}),
+                    reading,
+                )
+    service = blocks["service"]
+    batches = service["batches"]
+    service["mean_batch_size"] = (
+        round(service["batched_jobs"] / batches, 3) if batches else None
+    )
+    return blocks
 
 
 @dataclass
@@ -379,8 +309,7 @@ class RunManifest:
             cache=_cache_stats(snapshot["counters"]),
             artifacts=_store_stats(snapshot["counters"], "artifacts"),
             supervisor=_supervisor_stats(snapshot),
-            service=_service_stats(snapshot),
-            trace=_trace_stats(snapshot),
+            **_serving_rollups(snapshot),
         )
 
     def to_dict(self) -> dict:

@@ -60,45 +60,67 @@ class MetricsRegistry:
     :meth:`merge` on the parent, which is how the score-generation pool
     reports without any shared state.
 
+    A metric may carry labels — a tuple of ``(label, value)`` pairs —
+    and then lives under the key ``(name, labels)`` instead of ``name``
+    (the serving layer's :class:`~repro.service.stats.ServiceStats`
+    keeps its Prometheus series this way).  A registry that never uses
+    labels, like the telemetry recorder's, snapshots to plain JSON.
+
     Parameters
     ----------
     buckets:
-        Histogram bucket upper bounds, strictly increasing.  Every
-        histogram in a registry shares them so snapshots merge
-        bucket-for-bucket.
+        Histogram bucket upper bounds, strictly increasing, shared by
+        every histogram not named in ``family_buckets`` so snapshots
+        merge bucket-for-bucket.
+    family_buckets:
+        Per-name bucket bounds overriding ``buckets``.  An observation
+        lands in the first bucket whose bound is ``>=`` it; larger ones
+        land in a final overflow bucket.
     """
 
-    def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
+    def __init__(
+        self,
+        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
+        family_buckets: Optional[Dict[str, Tuple[float, ...]]] = None,
+    ) -> None:
         self._lock = threading.Lock()
         self._bounds = tuple(buckets)
-        self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
-        # name -> [count, total, min, max, per-bucket counts (+overflow)]
-        self._histograms: Dict[str, list] = {}
+        self._family_bounds = dict(family_buckets or {})
+        self._counters: Dict[object, int] = {}
+        self._gauges: Dict[object, float] = {}
+        # key -> [count, total, min, max, per-bucket counts (+overflow)]
+        self._histograms: Dict[object, list] = {}
 
-    def count(self, name: str, n: int = 1) -> None:
+    def _histogram(self, key, name: str) -> list:
+        hist = self._histograms.get(key)
+        if hist is None:
+            bounds = self._family_bounds.get(name, self._bounds)
+            hist = [0, 0.0, float("inf"), float("-inf"),
+                    [0] * (len(bounds) + 1)]
+            self._histograms[key] = hist
+        return hist
+
+    def count(self, name: str, n: int = 1, labels: tuple = ()) -> None:
         """Add ``n`` to the counter ``name`` (created at zero)."""
+        key = (name, labels) if labels else name
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
+            self._counters[key] = self._counters.get(key, 0) + n
 
-    def gauge(self, name: str, value: float) -> None:
+    def gauge(self, name: str, value: float, labels: tuple = ()) -> None:
         """Set the gauge ``name`` to ``value`` (last write wins)."""
         with self._lock:
-            self._gauges[name] = float(value)
+            self._gauges[(name, labels) if labels else name] = value
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, labels: tuple = ()) -> None:
         """Record one observation into the histogram ``name``."""
+        bounds = self._family_bounds.get(name, self._bounds)
         with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = [0, 0.0, float("inf"), float("-inf"),
-                        [0] * (len(self._bounds) + 1)]
-                self._histograms[name] = hist
+            hist = self._histogram((name, labels) if labels else name, name)
             hist[0] += 1
             hist[1] += value
             hist[2] = min(hist[2], value)
             hist[3] = max(hist[3], value)
-            hist[4][bisect.bisect_left(self._bounds, value)] += 1
+            hist[4][bisect.bisect_left(bounds, value)] += 1
 
     def counter_value(self, name: str) -> int:
         """Current value of counter ``name`` (zero if never counted)."""
@@ -106,7 +128,7 @@ class MetricsRegistry:
             return self._counters.get(name, 0)
 
     def snapshot(self) -> dict:
-        """A JSON-able copy of every metric, suitable for :meth:`merge`."""
+        """A copy of every metric, suitable for :meth:`merge`."""
         with self._lock:
             return {
                 "counters": dict(self._counters),
@@ -124,6 +146,20 @@ class MetricsRegistry:
                 "bucket_bounds": list(self._bounds),
             }
 
+    def series(self) -> Dict[str, Dict[tuple, object]]:
+        """Every metric grouped by name: ``{name: {labels: value}}``.
+
+        ``labels`` is ``()`` for an unlabeled metric; histogram values
+        are shaped as in :meth:`snapshot`.
+        """
+        snap = self.snapshot()
+        grouped: Dict[str, Dict[tuple, object]] = {}
+        for section in ("counters", "gauges", "histograms"):
+            for key, value in snap[section].items():
+                name, labels = (key, ()) if isinstance(key, str) else key
+                grouped.setdefault(name, {})[labels] = value
+        return grouped
+
     def merge(self, snapshot: dict) -> None:
         """Fold a :meth:`snapshot` (typically from a worker process) in.
 
@@ -138,16 +174,14 @@ class MetricsRegistry:
                 "cannot merge metrics snapshot: bucket bounds differ"
             )
         with self._lock:
-            for name, value in snapshot.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + value
-            for name, value in snapshot.get("gauges", {}).items():
-                self._gauges[name] = value
-            for name, data in snapshot.get("histograms", {}).items():
-                hist = self._histograms.get(name)
-                if hist is None:
-                    hist = [0, 0.0, float("inf"), float("-inf"),
-                            [0] * (len(self._bounds) + 1)]
-                    self._histograms[name] = hist
+            for key, value in snapshot.get("counters", {}).items():
+                self._counters[key] = self._counters.get(key, 0) + value
+            for key, value in snapshot.get("gauges", {}).items():
+                self._gauges[key] = value
+            for key, data in snapshot.get("histograms", {}).items():
+                hist = self._histogram(
+                    key, key if isinstance(key, str) else key[0]
+                )
                 hist[0] += data["count"]
                 hist[1] += data["sum"]
                 hist[2] = min(hist[2], data["min"])
@@ -236,8 +270,8 @@ class TelemetryRecorder:
         self.metrics.count(name, n)
 
     def gauge(self, name: str, value: float) -> None:
-        """Set a gauge (delegates to :attr:`metrics`)."""
-        self.metrics.gauge(name, value)
+        """Set a gauge (delegates to :attr:`metrics`, stored as a float)."""
+        self.metrics.gauge(name, float(value))
 
     def observe(self, name: str, value: float) -> None:
         """Record a histogram observation (delegates to :attr:`metrics`)."""

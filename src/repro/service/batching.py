@@ -47,9 +47,14 @@ from ..runtime.telemetry import (
     TraceContext,
     current_trace,
     get_logger,
-    get_recorder,
 )
-from .stats import ServiceStats
+from .stats import (
+    BATCH_WAIT,
+    ENQUEUE_DEPTH,
+    MATCH_TIME,
+    OVERLOADS,
+    ServiceStats,
+)
 
 _log = get_logger("service.batching")
 
@@ -243,7 +248,7 @@ class MicroBatcher:
         if not self._config.enabled or self._collector is None:
             return await self._score_direct(loop, pair_list, budget)
         if len(self._queue) + len(pair_list) > self._config.queue_depth:
-            self._stats.record_overload()
+            self._stats.record(OVERLOADS)
             raise ServiceOverloadError(
                 f"admission queue full ({len(self._queue)} jobs queued, "
                 f"depth {self._config.queue_depth}); retry later"
@@ -258,9 +263,7 @@ class MicroBatcher:
                 _Job(probe, gallery, future, deadline, trace, enqueued)
             )
             futures.append(future)
-        recorder = get_recorder()
-        if recorder.active:
-            recorder.gauge("service.queue_depth", float(len(self._queue)))
+        self._stats.record(ENQUEUE_DEPTH, len(self._queue))
         self._wake.set()
         results = await asyncio.gather(*futures, return_exceptions=True)
         scores = np.empty(len(results), dtype=np.float64)
@@ -367,14 +370,8 @@ class MicroBatcher:
             self._batch_seq = self._next_batch_id()
             batch_id = self._batch_seq
             claimed = time.perf_counter()
-            recorder = get_recorder()
             for job in live:
-                queue_wait = max(0.0, claimed - job.enqueued)
-                self._stats.record_queue_wait(queue_wait)
-                if recorder.active:
-                    recorder.observe(
-                        "service.phase.queue_wait_seconds", queue_wait
-                    )
+                self._stats.record_queue_wait(max(0.0, claimed - job.enqueued))
             pairs = [(job.probe, job.gallery) for job in live]
 
             def _timed_score_pairs():
@@ -396,13 +393,8 @@ class MicroBatcher:
             else:
                 batch_wait = max(0.0, started - claimed)
                 match_seconds = max(0.0, finished - started)
-                if recorder.active:
-                    recorder.observe(
-                        "service.phase.batch_wait_seconds", batch_wait
-                    )
-                    recorder.observe(
-                        "service.phase.match_seconds", match_seconds
-                    )
+                self._stats.record(BATCH_WAIT, batch_wait)
+                self._stats.record(MATCH_TIME, match_seconds)
                 for job, score in zip(live, scores):
                     if job.trace is not None:
                         job.trace.note_batch(

@@ -2,15 +2,15 @@
 
 Two halves, both stdlib-only:
 
-* :func:`render_exposition` — renders a :class:`~repro.service.stats.ServiceStats`
-  (always on), the gallery footprint, the admission-queue depth, and —
-  when telemetry is enabled — every metric in the process-wide
-  :class:`~repro.runtime.telemetry.MetricsRegistry`, in the Prometheus
-  text format (``# HELP`` / ``# TYPE`` / samples, histograms with
-  cumulative ``le`` buckets ending in ``+Inf``).  The server mounts it
-  at ``GET /metrics`` with the standard
-  ``text/plain; version=0.0.4`` content type, so a stock Prometheus
-  scraper can point at ``repro serve`` unmodified.
+* :func:`render_exposition` — renders every serving metric family
+  declared in :data:`repro.service.stats.FAMILIES` and — when telemetry
+  is enabled — every metric in the process-wide
+  :class:`~repro.runtime.telemetry.MetricsRegistry` (as
+  ``repro_telemetry_*``), in the Prometheus text format (``# HELP`` /
+  ``# TYPE`` / samples, histograms with cumulative ``le`` buckets
+  ending in ``+Inf``).  The server mounts it at ``GET /metrics`` with
+  the standard ``text/plain; version=0.0.4`` content type, so a stock
+  Prometheus scraper can point at ``repro serve`` unmodified.
 
 * :func:`parse_exposition` — a *strict* parser for the same format:
   metric-name and label grammar, TYPE-before-sample ordering, duplicate
@@ -19,64 +19,9 @@ Two halves, both stdlib-only:
   smoke job run every scrape through it, so a malformed exposition line
   is a failing build rather than a silently dropped scrape.
 
-Metric name catalogue (all prefixed ``repro_``; see
-``docs/observability.md`` for the full table):
-
-========================================  =========  =====================
-name                                      type       labels
-========================================  =========  =====================
-``repro_uptime_seconds``                  gauge      —
-``repro_requests_total``                  counter    ``endpoint``
-``repro_responses_total``                 counter    ``status``
-``repro_request_latency_seconds``         histogram  ``endpoint``, ``device``
-``repro_request_latency_window_ms``       gauge      ``endpoint``, ``quantile``
-``repro_queue_wait_seconds``              histogram  —
-``repro_batch_size``                      histogram  —
-``repro_batch_requests``                  histogram  —
-``repro_batches_total``                   counter    —
-``repro_batched_jobs_total``              counter    —
-``repro_expired_jobs_total``              counter    —
-``repro_batch_last_id``                   gauge      —
-``repro_queue_depth``                     gauge      —
-``repro_decisions_total``                 counter    ``decision``
-``repro_enroll_rejected_total``           counter    —
-``repro_overloads_total``                 counter    —
-``repro_deadline_exceeded_total``         counter    —
-``repro_slow_requests_total``             counter    —
-``repro_gallery_enrolled``                gauge      ``device``
-``repro_identify_searches_total``         counter    ``mode``
-``repro_identify_candidates_total``       counter    —
-``repro_identify_prefilter_seconds``      histogram  —
-``repro_worker_pool_size``                gauge      ``state``
-``repro_worker_degraded``                 gauge      —
-``repro_worker_dispatches_total``         counter    ``worker``
-``repro_worker_dispatched_jobs_total``    counter    ``worker``
-``repro_worker_respawns_total``           counter    ``worker``
-``repro_worker_shard_size``               gauge      ``worker``
-``repro_gallery_corrupt_dropped_total``   counter    —
-``repro_wal_last_lsn``                    gauge      —
-``repro_wal_checkpoint_lsn``              gauge      —
-``repro_wal_segments``                    gauge      —
-``repro_wal_size_bytes``                  gauge      —
-``repro_wal_appends_total``               counter    —
-``repro_wal_bytes_total``                 counter    —
-``repro_wal_fsyncs_total``                counter    —
-``repro_wal_rotations_total``             counter    —
-``repro_wal_checkpoints_total``           counter    —
-``repro_wal_segments_removed_total``      counter    —
-``repro_wal_replayed_total``              counter    —
-``repro_wal_torn_truncated_total``        counter    —
-``repro_replication_role``                gauge      ``role``
-``repro_replication_applied_lsn``         gauge      —
-``repro_replication_lag_records``         gauge      —
-``repro_replication_broken``              gauge      —
-``repro_replication_rebootstraps_total``  counter    —
-``repro_auth_enabled``                    gauge      —
-``repro_auth_requests_total``             counter    ``outcome``
-``repro_rate_limited_total``              counter    ``principal``
-``repro_limit_buckets``                   gauge      —
-``repro_telemetry_*``                     mixed      — (recorder passthrough)
-========================================  =========  =====================
+:func:`scraped` reads one declared family back out of a parsed scrape
+(``repro top`` works that way), and :func:`catalogue_rows` generates
+the metric tables of ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -86,7 +31,7 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from ..runtime.telemetry import get_recorder
-from .stats import ServiceStats
+from .stats import FAMILIES, Family, ServiceStats
 
 #: The content type Prometheus' text exposition format 0.0.4 declares.
 EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -119,60 +64,36 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _labels_text(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{name}="{_escape_label(str(value))}"'
-        for name, value in labels.items()
-    )
-    return "{" + inner + "}"
+def _sample(name: str, labels: tuple, value: float) -> str:
+    """One sample line; ``labels`` is a tuple of ``(name, value)`` pairs."""
+    text = ",".join(f'{k}="{_escape_label(str(v))}"' for k, v in labels)
+    if text:
+        name = f"{name}{{{text}}}"
+    return f"{name} {_format_value(value)}"
 
 
-class _Writer:
-    """Accumulates exposition lines, one ``# TYPE`` block per family."""
+def _histogram(lines: List[str], name: str, labels: tuple, bounds,
+               hist: dict) -> None:
+    """Emit one histogram series (cumulative ``le`` buckets).
 
-    def __init__(self) -> None:
-        self.lines: List[str] = []
+    ``hist["buckets"]`` is non-cumulative with a final overflow slot, as
+    :class:`repro.runtime.telemetry.MetricsRegistry` snapshots it.
+    """
+    running = 0
+    for bound, bucket in zip(bounds, hist["buckets"]):
+        running += bucket
+        le = (("le", _format_value(float(bound))),)
+        lines.append(_sample(f"{name}_bucket", labels + le, running))
+    lines.append(_sample(f"{name}_bucket", labels + (("le", "+Inf"),),
+                         hist["count"]))
+    lines.append(_sample(f"{name}_sum", labels, hist["sum"]))
+    lines.append(_sample(f"{name}_count", labels, hist["count"]))
 
-    def family(self, name: str, kind: str, help_text: str) -> None:
-        self.lines.append(f"# HELP {name} {help_text}")
-        self.lines.append(f"# TYPE {name} {kind}")
 
-    def sample(
-        self, name: str, labels: Dict[str, str], value: float
-    ) -> None:
-        self.lines.append(f"{name}{_labels_text(labels)} {_format_value(value)}")
-
-    def histogram(
-        self,
-        name: str,
-        labels: Dict[str, str],
-        bounds,
-        bucket_counts,
-        count: int,
-        total: float,
-    ) -> None:
-        """Emit one labeled histogram series (cumulative ``le`` buckets).
-
-        ``bucket_counts`` is non-cumulative with a final overflow slot,
-        matching :class:`repro.service.stats._CumulativeHistogram` and
-        :class:`repro.runtime.telemetry.MetricsRegistry` snapshots.
-        """
-        running = 0
-        for bound, bucket in zip(bounds, bucket_counts):
-            running += bucket
-            self.sample(
-                f"{name}_bucket",
-                {**labels, "le": _format_value(float(bound))},
-                running,
-            )
-        self.sample(f"{name}_bucket", {**labels, "le": "+Inf"}, count)
-        self.sample(f"{name}_sum", labels, total)
-        self.sample(f"{name}_count", labels, count)
-
-    def text(self) -> str:
-        return "\n".join(self.lines) + "\n"
+def _family_lines(lines: List[str], name: str, kind: str, help_text: str
+                  ) -> None:
+    lines.append(f"# HELP {name} {help_text}")
+    lines.append(f"# TYPE {name} {kind}")
 
 
 def _sanitize_name(raw: str) -> Optional[str]:
@@ -181,279 +102,36 @@ def _sanitize_name(raw: str) -> Optional[str]:
     return candidate if _NAME_RE.match(candidate) else None
 
 
-def render_exposition(
-    stats: ServiceStats,
-    gallery_devices: Optional[Dict[str, int]] = None,
-    queue_depth: Optional[int] = None,
-    corrupt_dropped: Optional[int] = None,
-    wal: Optional[dict] = None,
-    replication: Optional[dict] = None,
-    auth: Optional[dict] = None,
-) -> str:
+def render_exposition(stats: ServiceStats, **sources) -> str:
     """The full ``/metrics`` payload for one server.
 
-    Parameters
-    ----------
-    stats:
-        The server's live :class:`ServiceStats`.
-    gallery_devices:
-        Per-device enrollment counts (``GalleryIndex.stats()["devices"]``).
-    queue_depth:
-        Pair jobs currently queued in the micro-batcher.
-    corrupt_dropped:
-        Corrupt gallery records silently skipped at the last reload
-        (``GalleryIndex.corrupt_dropped``).
-    wal:
-        The write-ahead log footprint/counters
-        (``GalleryIndex.wal_stats()``; ``None`` on a follower).
-    replication:
-        The ``{role, applied_lsn, lag_records}`` block the server also
-        reports in ``/v1/healthz``.
-    auth:
-        The admission-control block (``VerificationServer._auth_stats``):
-        ``enabled``, per-outcome authentication tallies, per-principal
-        429 tallies, and the limiter snapshot when one is configured.
+    Every declared family, in table order: recorded ones from
+    ``stats``, collected ones from ``sources`` — the server passes
+    ``gallery_devices``, ``queue_depth``, ``corrupt_dropped``, ``wal``,
+    ``replication``, ``auth_enabled``, ``limits`` and ``workers`` — and
+    a family whose source is not given is left out.  The telemetry
+    recorder's metrics follow when telemetry is enabled.
     """
-    w = _Writer()
-    snapshot = stats.snapshot()
-
-    w.family("repro_uptime_seconds", "gauge", "Seconds since server start.")
-    w.sample("repro_uptime_seconds", {}, snapshot["uptime_seconds"])
-
-    w.family("repro_requests_total", "counter",
-             "HTTP requests finished, by endpoint (probes included).")
-    for endpoint, count in sorted(snapshot["requests"].items()):
-        w.sample("repro_requests_total", {"endpoint": endpoint}, count)
-
-    w.family("repro_responses_total", "counter",
-             "HTTP responses sent, by status code.")
-    for status, count in sorted(snapshot["statuses"].items()):
-        w.sample("repro_responses_total", {"status": status}, count)
-
-    w.family("repro_request_latency_seconds", "histogram",
-             "Request latency by endpoint and device (probes excluded).")
-    for (endpoint, device), hist in stats.labeled_latency().items():
-        labels = {"endpoint": endpoint}
-        if device:
-            labels["device"] = device
-        w.histogram(
-            "repro_request_latency_seconds", labels,
-            hist["bounds"], hist["buckets"], hist["count"], hist["sum"],
-        )
-
-    w.family("repro_request_latency_window_ms", "gauge",
-             "Exact sliding-window latency quantiles, milliseconds.")
-    for endpoint, window in sorted(snapshot["latency"].items()):
-        for quantile in ("p50_ms", "p95_ms", "p99_ms"):
-            w.sample(
-                "repro_request_latency_window_ms",
-                {"endpoint": endpoint, "quantile": quantile[:-3]},
-                window[quantile],
-            )
-
-    queue_wait = stats.queue_wait_snapshot()
-    w.family("repro_queue_wait_seconds", "histogram",
-             "Pair-job time spent in the admission queue.")
-    w.histogram(
-        "repro_queue_wait_seconds", {},
-        queue_wait["bounds"], queue_wait["buckets"],
-        queue_wait["count"], queue_wait["sum"],
-    )
-
-    batch_hists = stats.batch_histograms()
-    w.family("repro_batch_size", "histogram",
-             "Pair jobs per dispatched micro-batch.")
-    size_hist = batch_hists["batch_size"]
-    w.histogram("repro_batch_size", {}, size_hist["bounds"],
-                size_hist["buckets"], size_hist["count"], size_hist["sum"])
-    w.family("repro_batch_requests", "histogram",
-             "Distinct requests coalesced per micro-batch.")
-    req_hist = batch_hists["batch_requests"]
-    w.histogram("repro_batch_requests", {}, req_hist["bounds"],
-                req_hist["buckets"], req_hist["count"], req_hist["sum"])
-
-    batching = snapshot["batching"]
-    for name, help_text, value in (
-        ("repro_batches_total", "Micro-batches dispatched.",
-         batching["batches"]),
-        ("repro_batched_jobs_total", "Pair jobs carried by batches.",
-         batching["jobs"]),
-        ("repro_expired_jobs_total", "Jobs expired in the queue.",
-         batching["expired_jobs"]),
-        ("repro_enroll_rejected_total", "Quality-gate enrollment refusals.",
-         snapshot["enroll_rejected"]),
-        ("repro_overloads_total", "Admissions refused on a full queue.",
-         snapshot["overloads"]),
-        ("repro_deadline_exceeded_total", "Requests past their deadline.",
-         snapshot["deadline_exceeded"]),
-        ("repro_slow_requests_total",
-         "Requests over the REPRO_SERVE_SLOW_MS threshold.",
-         snapshot["slow_requests"]),
-    ):
-        w.family(name, "counter", help_text)
-        w.sample(name, {}, value)
-
-    w.family("repro_decisions_total", "counter",
-             "Verification decisions, by outcome.")
-    for decision, count in sorted(snapshot["decisions"].items()):
-        w.sample("repro_decisions_total", {"decision": decision}, count)
-
-    w.family("repro_batch_last_id", "gauge",
-             "Id of the most recently dispatched micro-batch.")
-    w.sample("repro_batch_last_id", {}, batching["last_batch_id"])
-
-    identify = snapshot["identify"]
-    w.family("repro_identify_searches_total", "counter",
-             "1:N identify searches, by search mode.")
-    for mode, count in identify["modes"].items():
-        w.sample("repro_identify_searches_total", {"mode": mode}, count)
-    w.family("repro_identify_candidates_total", "counter",
-             "Gallery templates scored by the exact matcher during identify.")
-    w.sample("repro_identify_candidates_total", {},
-             identify["candidates_scored"])
-    prefilter = stats.prefilter_snapshot()
-    w.family("repro_identify_prefilter_seconds", "histogram",
-             "Wall time of the two-stage descriptor prefilter pass.")
-    w.histogram("repro_identify_prefilter_seconds", {},
-                prefilter["bounds"], prefilter["buckets"],
-                prefilter["count"], prefilter["sum"])
-
-    workers = snapshot["workers"]
-    w.family("repro_worker_pool_size", "gauge",
-             "Sharded serving pool width, configured and currently alive.")
-    w.sample("repro_worker_pool_size", {"state": "configured"},
-             workers["configured"])
-    w.sample("repro_worker_pool_size", {"state": "alive"}, workers["alive"])
-    w.family("repro_worker_degraded", "gauge",
-             "1 when the pool fell back to in-process serving.")
-    w.sample("repro_worker_degraded", {}, 1 if workers["degraded"] else 0)
-    w.family("repro_worker_dispatches_total", "counter",
-             "RPCs dispatched to each sharded worker.")
-    for worker, count in workers["dispatches"].items():
-        w.sample("repro_worker_dispatches_total", {"worker": worker}, count)
-    w.family("repro_worker_dispatched_jobs_total", "counter",
-             "Pair jobs carried by dispatches to each sharded worker.")
-    for worker, count in workers["dispatched_jobs"].items():
-        w.sample("repro_worker_dispatched_jobs_total", {"worker": worker},
-                 count)
-    w.family("repro_worker_respawns_total", "counter",
-             "Crash-or-stall respawns of each sharded worker.")
-    for worker, count in workers["respawns"].items():
-        w.sample("repro_worker_respawns_total", {"worker": worker}, count)
-    w.family("repro_worker_shard_size", "gauge",
-             "Gallery records owned by each sharded worker.")
-    for worker, count in workers["shard_sizes"].items():
-        w.sample("repro_worker_shard_size", {"worker": worker}, count)
-
-    if queue_depth is not None:
-        w.family("repro_queue_depth", "gauge",
-                 "Pair jobs currently awaiting a batch slot.")
-        w.sample("repro_queue_depth", {}, queue_depth)
-
-    if gallery_devices is not None:
-        w.family("repro_gallery_enrolled", "gauge",
-                 "Enrolled templates per device shard.")
-        for device, count in sorted(gallery_devices.items()):
-            w.sample("repro_gallery_enrolled", {"device": device}, count)
-
-    if corrupt_dropped is not None:
-        w.family("repro_gallery_corrupt_dropped_total", "counter",
-                 "Corrupt gallery records dropped at the last reload.")
-        w.sample("repro_gallery_corrupt_dropped_total", {}, corrupt_dropped)
-
-    if wal is not None:
-        for name, help_text, value in (
-            ("repro_wal_last_lsn",
-             "Sequence number of the newest logged operation.",
-             wal.get("last_lsn", 0)),
-            ("repro_wal_checkpoint_lsn",
-             "Operations at or below this LSN are durably applied.",
-             wal.get("checkpoint_lsn", 0)),
-            ("repro_wal_segments", "Retained write-ahead log segments.",
-             wal.get("segments", 0)),
-            ("repro_wal_size_bytes", "On-disk bytes across WAL segments.",
-             wal.get("size_bytes", 0)),
-        ):
-            w.family(name, "gauge", help_text)
-            w.sample(name, {}, value)
-        for name, help_text, value in (
-            ("repro_wal_appends_total", "Records appended to the WAL.",
-             wal.get("appends", 0)),
-            ("repro_wal_bytes_total", "Frame bytes appended to the WAL.",
-             wal.get("bytes", 0)),
-            ("repro_wal_fsyncs_total", "fsync calls issued by the WAL.",
-             wal.get("fsyncs", 0)),
-            ("repro_wal_rotations_total", "Segment seals (rotations).",
-             wal.get("rotations", 0)),
-            ("repro_wal_checkpoints_total", "Checkpoints written.",
-             wal.get("checkpoints", 0)),
-            ("repro_wal_segments_removed_total",
-             "Sealed segments compacted away after checkpoints.",
-             wal.get("segments_removed", 0)),
-            ("repro_wal_replayed_total",
-             "Records replayed from the WAL at startup.",
-             wal.get("replayed", 0)),
-            ("repro_wal_torn_truncated_total",
-             "Torn WAL tails truncated during replay.",
-             wal.get("torn_truncated", 0)),
-        ):
-            w.family(name, "counter", help_text)
-            w.sample(name, {}, value)
-
-    if replication is not None:
-        w.family("repro_replication_role", "gauge",
-                 "1 for the role this server is playing.")
-        w.sample("repro_replication_role",
-                 {"role": replication.get("role", "primary")}, 1)
-        w.family("repro_replication_applied_lsn", "gauge",
-                 "Newest WAL operation applied by this server.")
-        w.sample("repro_replication_applied_lsn", {},
-                 replication.get("applied_lsn", 0))
-        w.family("repro_replication_lag_records", "gauge",
-                 "WAL records written but not yet applied here.")
-        w.sample("repro_replication_lag_records", {},
-                 replication.get("lag_records", 0))
-        w.family("repro_replication_broken", "gauge",
-                 "1 when follower replication stopped on an error.")
-        w.sample("repro_replication_broken", {},
-                 1 if replication.get("error") else 0)
-        w.family("repro_replication_rebootstraps_total", "counter",
-                 "Follower re-bootstraps after falling past WAL retention.")
-        w.sample("repro_replication_rebootstraps_total", {},
-                 replication.get("rebootstraps", 0))
-
-    if auth is not None:
-        w.family("repro_auth_enabled", "gauge",
-                 "1 when keyed authentication is enforced.")
-        w.sample("repro_auth_enabled", {}, 1 if auth.get("enabled") else 0)
-        w.family("repro_auth_requests_total", "counter",
-                 "Authentication decisions on a keyed server, by outcome.")
-        for outcome, count in sorted(auth.get("outcomes", {}).items()):
-            w.sample("repro_auth_requests_total", {"outcome": outcome}, count)
-        w.family("repro_rate_limited_total", "counter",
-                 "Requests refused by the rate limiter, by principal.")
-        w.sample("repro_rate_limited_total", {},
-                 auth.get("rate_limited_total", 0))
-        for principal, count in sorted(
-            auth.get("rate_limited", {}).items()
-        ):
-            w.sample("repro_rate_limited_total", {"principal": principal},
-                     count)
-        limits = auth.get("limits")
-        if limits is not None:
-            w.family("repro_limit_buckets", "gauge",
-                     "Live (principal, class) token buckets in the LRU.")
-            w.sample("repro_limit_buckets", {}, limits["bucket_occupancy"])
-
-    _render_recorder_metrics(w)
-    return w.text()
+    lines: List[str] = []
+    named = [family for family in FAMILIES if family.name is not None]
+    for family, series in stats.read(sources, named):
+        _family_lines(lines, family.name, family.kind, family.help)
+        if family.total:
+            lines.append(_sample(family.name, (), sum(series.values())))
+        for labels, value in sorted(series.items()):
+            if family.kind == "histogram":
+                _histogram(lines, family.name, labels, family.buckets, value)
+            else:
+                lines.append(_sample(family.name, labels, value))
+    _render_recorder_metrics(lines)
+    return "\n".join(lines) + "\n"
 
 
-def _render_recorder_metrics(w: _Writer) -> None:
+def _render_recorder_metrics(lines: List[str]) -> None:
     """Pass the live telemetry registry through, ``repro_telemetry_``-prefixed.
 
-    Only runs when telemetry is enabled; the always-on ServiceStats
-    families above carry the serving story by themselves.
+    Only runs when telemetry is enabled; the declared families above
+    carry the serving story by themselves.
     """
     recorder = get_recorder()
     if not recorder.active:
@@ -463,22 +141,66 @@ def _render_recorder_metrics(w: _Writer) -> None:
         prom = _sanitize_name(f"repro_telemetry_{name}_total")
         if prom is None:
             continue
-        w.family(prom, "counter", f"Telemetry counter {name}.")
-        w.sample(prom, {}, value)
+        _family_lines(lines, prom, "counter", f"Telemetry counter {name}.")
+        lines.append(_sample(prom, (), value))
     for name, value in sorted(snap["gauges"].items()):
         prom = _sanitize_name(f"repro_telemetry_{name}")
         if prom is None:
             continue
-        w.family(prom, "gauge", f"Telemetry gauge {name}.")
-        w.sample(prom, {}, value)
-    bounds = snap["bucket_bounds"]
+        _family_lines(lines, prom, "gauge", f"Telemetry gauge {name}.")
+        lines.append(_sample(prom, (), value))
     for name, hist in sorted(snap["histograms"].items()):
         prom = _sanitize_name(f"repro_telemetry_{name}")
         if prom is None:
             continue
-        w.family(prom, "histogram", f"Telemetry histogram {name}.")
-        w.histogram(prom, {}, bounds, hist["buckets"],
-                    hist["count"], hist["sum"])
+        _family_lines(lines, prom, "histogram", f"Telemetry histogram {name}.")
+        _histogram(lines, prom, (), snap["bucket_bounds"], hist)
+
+
+def scraped(families: Dict[str, dict], family: Family) -> Dict[tuple, float]:
+    """One declared family's samples in a :func:`parse_exposition` result.
+
+    Returns ``{label values: value}`` — the values in the family's label
+    order, ``()`` for an unlabeled sample; empty when the family is
+    absent.
+    """
+    parsed = families.get(family.name, {"samples": []})
+    return {
+        tuple(labels[label] for label in family.labels if label in labels):
+        value
+        for name, labels, value in parsed["samples"]
+        if name == family.name
+    }
+
+
+def _placeholders(template: str) -> str:
+    return re.sub(r"\{(\w+)\}", r"<\1>", template)
+
+
+def catalogue_rows() -> Tuple[List[str], List[str]]:
+    """The generated rows of the two metric tables in
+    ``docs/observability.md``: the ``service.*`` / ``index.*`` recorder
+    metrics, and the ``repro_*`` families of ``/metrics``."""
+    telemetry = [
+        f"| `{_placeholders(name)}` | {family.kind} | {family.help} |"
+        for family in FAMILIES
+        for name in family.telemetry
+        if name.startswith(("service.", "index."))
+    ]
+    exposition = []
+    for family in FAMILIES:
+        if family.name is None:
+            continue
+        labels = [f"`{label}`" for label in family.labels]
+        if family.values:
+            labels[0] += " (" + "/".join(f"`{v}`" for v in family.values) + ")"
+        if family.total:
+            labels.insert(0, "— (total)")
+        exposition.append(
+            f"| `{family.name}` | {family.kind} | "
+            f"{', '.join(labels) or '—'} | {family.help} |"
+        )
+    return telemetry, exposition
 
 
 # ----------------------------------------------------------------------
@@ -673,4 +395,6 @@ __all__ = [
     "render_exposition",
     "parse_exposition",
     "sample_value",
+    "scraped",
+    "catalogue_rows",
 ]

@@ -146,7 +146,17 @@ from .gallery import (
 )
 from .metrics import EXPOSITION_CONTENT_TYPE, render_exposition
 from .reqlog import RequestLog, slow_threshold_ms
-from .stats import ServiceStats
+from .stats import (
+    AUTH_REQUESTS,
+    CANDIDATES,
+    DEADLINE_EXCEEDED,
+    OVERLOADS,
+    PREFILTER,
+    RATE_LIMITED,
+    SEARCHES,
+    TRACES,
+    ServiceStats,
+)
 from .workers import WorkerPool, WorkerPoolConfig, WorkerPoolDegradedError
 
 #: Operating threshold on the matcher's 0–30 score scale.  The paper's
@@ -621,6 +631,8 @@ class VerificationServer:
             self._follow_task = None
         if self.pool is not None:
             await self.pool.stop()
+            # The manifest sees the pool's final width and liveness.
+            self.stats.publish(workers=self._pool_health())
             self.pool = None
         await self.batcher.stop()
         self.gallery.close()
@@ -768,9 +780,9 @@ class VerificationServer:
                 if trace is not None and principal_name is not None:
                     trace.meta["principal"] = principal_name
                 if status == 503:
-                    self.stats.record_overload()
+                    self.stats.record(OVERLOADS)
                 elif status == 504:
-                    self.stats.record_deadline()
+                    self.stats.record(DEADLINE_EXCEEDED)
                 elif status == 429:
                     retry_after = getattr(exc, "retry_after", 1.0)
             except Exception as exc:  # noqa: BLE001 - never kill the connection
@@ -824,19 +836,19 @@ class VerificationServer:
                     principal = self.auth.authenticate(headers)
                     self.auth.authorize(principal, endpoint)
             except AuthenticationError:
-                self.stats.record_auth("unauthorized")
+                self.stats.record(AUTH_REQUESTS, outcome="unauthorized")
                 raise
             except AuthorizationError as exc:
-                self.stats.record_auth("forbidden")
+                self.stats.record(AUTH_REQUESTS, outcome="forbidden")
                 exc.principal = principal.name
                 raise
-            self.stats.record_auth("ok")
+            self.stats.record(AUTH_REQUESTS, outcome="ok")
         if self.limits is not None and endpoint != "healthz":
             try:
                 with _phase("limits"):
                     self.limits.check(principal.name, endpoint)
             except RateLimitExceeded as exc:
-                self.stats.record_rate_limited(principal.name)
+                self.stats.record(RATE_LIMITED, principal=principal.name)
                 exc.principal = principal.name
                 raise
         return principal
@@ -857,9 +869,8 @@ class VerificationServer:
         slow = self.slow_ms is not None and latency_ms >= self.slow_ms
         if slow:
             self.stats.record_slow()
-        recorder = get_recorder()
-        if recorder.active and trace is not None:
-            recorder.count("service.traces")
+        if trace is not None:
+            self.stats.record(TRACES)
         if self.reqlog is not None:
             record = {
                 "ts": round(time.time(), 3),
@@ -1064,22 +1075,47 @@ class VerificationServer:
                         await self._drain_follower()
                     except WalError as again:
                         self._follow_error = str(again)
-        pool = self.pool
         return {
             "status": "ok",
             "enrolled": len(self.gallery),
             "uptime_seconds": round(time.time() - self.stats.started_at, 3),
-            "workers": {
-                "configured": pool.workers if pool is not None else 0,
-                "alive": pool.alive_count if pool is not None else 0,
-                "degraded": pool.degraded if pool is not None else False,
-            },
+            "workers": self._pool_health(),
             "replication": self._replication(),
         }
 
+    def _pool_health(self) -> dict:
+        """The worker pool's width, liveness and degraded flag (zeros
+        when serving in-process)."""
+        pool = self.pool
+        return {
+            "configured": pool.workers if pool is not None else 0,
+            "alive": pool.alive_count if pool is not None else 0,
+            "degraded": pool.degraded if pool is not None else False,
+        }
+
+    def _sources(self, gallery: dict) -> dict:
+        """The values the collected metric families read (see
+        :data:`repro.service.stats.FAMILIES`); ``gallery`` is
+        :meth:`GalleryIndex.stats`."""
+        queued = self.batcher.queue_depth
+        if self.pool is not None:
+            queued += self.pool.queue_depth
+        return {
+            "gallery_devices": gallery["devices"],
+            "queue_depth": queued,
+            "corrupt_dropped": gallery["corrupt_dropped"],
+            "wal": gallery["wal"],
+            "replication": self._replication(),
+            "auth_enabled": self.auth is not None,
+            "limits": self.limits.snapshot() if self.limits is not None else None,
+            "workers": self._pool_health(),
+        }
+
     def _handle_stats(self) -> dict:
-        payload = self.stats.snapshot()
-        payload["gallery"] = self.gallery.stats()
+        gallery = self.gallery.stats()
+        sources = self._sources(gallery)
+        payload = self.stats.snapshot(sources)
+        payload["gallery"] = gallery
         payload["batching"]["config"] = {
             "enabled": self.batcher.config.enabled,
             "max_batch": self.batcher.config.max_batch,
@@ -1087,29 +1123,19 @@ class VerificationServer:
             "queue_depth": self.batcher.config.queue_depth,
             "timeout_s": self.batcher.config.timeout_s,
         }
-        queued = self.batcher.queue_depth
-        if self.pool is not None:
-            queued += self.pool.queue_depth
-        payload["batching"]["queued_jobs"] = queued
+        payload["batching"]["queued_jobs"] = sources["queue_depth"]
         payload["identify"]["default_mode"] = self.identify_mode
         payload["identify"]["candidate_k"] = self.candidate_k
         payload["threshold"] = self.threshold
         payload["tracing"] = self.tracing
-        payload["replication"] = self._replication()
-        payload["auth"] = self._auth_stats()
-        return payload
-
-    def _auth_stats(self) -> dict:
-        """The ``auth``/``limits`` block for ``/stats`` and metrics."""
-        info: dict = {
-            "enabled": self.auth is not None,
-            **self.stats.auth_snapshot(),
-        }
+        payload["replication"] = sources["replication"]
+        auth = payload["auth"]
+        auth["enabled"] = sources["auth_enabled"]
         if self.auth is not None:
-            info["principals"] = self.auth.principals
+            auth["principals"] = self.auth.principals
         if self.limits is not None:
-            info["limits"] = self.limits.snapshot()
-        return info
+            auth["limits"] = sources["limits"]
+        return payload
 
     def _handle_keys_reload(self) -> dict:
         """``POST /v1/admin/keys/reload`` — force a keyfile re-read now.
@@ -1126,17 +1152,8 @@ class VerificationServer:
         return {"reloaded": True, "principals": count}
 
     def _handle_metrics(self) -> str:
-        queued = self.batcher.queue_depth
-        if self.pool is not None:
-            queued += self.pool.queue_depth
         return render_exposition(
-            self.stats,
-            gallery_devices=self.gallery.stats().get("devices"),
-            queue_depth=queued,
-            corrupt_dropped=self.gallery.corrupt_dropped,
-            wal=self.gallery.wal_stats(),
-            replication=self._replication(),
-            auth=self._auth_stats(),
+            self.stats, **self._sources(self.gallery.stats())
         )
 
     async def _handle_enroll(self, payload: dict) -> Tuple[int, dict]:
@@ -1249,11 +1266,10 @@ class VerificationServer:
                 self._timeout(payload),
             )
         gallery_size, scored, ranked, prefilter_seconds, prefilter_ranks = result
-        self.stats.record_identify(
-            mode,
-            candidates_scored=scored,
-            prefilter_seconds=prefilter_seconds,
-        )
+        self.stats.record(SEARCHES, mode=mode)
+        self.stats.record(CANDIDATES, scored)
+        if mode == "two_stage":
+            self.stats.record(PREFILTER, prefilter_seconds)
         stage = "rescored" if mode == "two_stage" else "exhaustive"
         best = ranked[0] if ranked else None
         return 200, {

@@ -1,8 +1,9 @@
 """`repro top`: a live terminal dashboard for one running server.
 
-Polls ``GET /stats`` (exact window quantiles, decision tallies) and
-``GET /metrics`` (cumulative counters, run through the strict
-exposition parser — every refresh doubles as a format check) and renders
+Polls ``GET /metrics`` — run through the strict exposition parser, so
+every refresh doubles as a format check — and reads each number by its
+declared family (:data:`repro.service.stats.FAMILIES`): cumulative
+counters, the exact window quantiles and the live gauges.  It renders
 per-endpoint rates *between* consecutive samples: QPS, window p95,
 error rate, and the interval's mean micro-batch size, plus cumulative
 ``denied`` (401/403) and ``throttled`` (429) tallies on keyed servers.
@@ -18,62 +19,59 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Dict, Optional, TextIO
+from typing import Optional, TextIO
 
+from . import stats
 from .client import ServiceClient
-from .metrics import parse_exposition, sample_value
-from .stats import ENDPOINTS, PROBE_ENDPOINTS
+from .metrics import parse_exposition, scraped
 
 #: Endpoints shown as dashboard rows (probe traffic stays off the board).
-DISPLAY_ENDPOINTS = tuple(e for e in ENDPOINTS if e not in PROBE_ENDPOINTS)
+DISPLAY_ENDPOINTS = tuple(
+    e for e in stats.ENDPOINTS if e not in stats.PROBE_ENDPOINTS
+)
 
 _CLEAR = "\x1b[H\x1b[J"
 
 
 def take_sample(client: ServiceClient) -> dict:
     """One observation of the server, normalized for delta arithmetic."""
-    stats = client.stats()
     families = parse_exposition(client.metrics())
-    requests: Dict[str, float] = {}
-    for endpoint in ENDPOINTS:
-        value = sample_value(
-            families, "repro_requests_total", {"endpoint": endpoint}
-        )
-        if value is None:
-            value = float(stats["requests"].get(endpoint, 0))
-        requests[endpoint] = value
-    errors = sum(
-        count for status, count in stats["statuses"].items()
-        if int(status) >= 400
-    )
-    denied = sum(
-        count for status, count in stats["statuses"].items()
-        if int(status) in (401, 403)
-    )
-    throttled = stats["statuses"].get("429", 0)
-    batching = stats["batching"]
+
+    def read(family) -> dict:
+        return scraped(families, family)
+
+    def count(family) -> int:
+        return int(read(family).get((), 0))
+
+    served = read(stats.REQUESTS)
+    requests = {e: served.get((e,), 0.0) for e in stats.ENDPOINTS}
+    statuses = {int(s): n for (s,), n in read(stats.RESPONSES).items()}
+    latency: dict = {}
+    for (endpoint, quantile), value in read(stats.LATENCY_WINDOW_MS).items():
+        latency.setdefault(endpoint, {})[f"{quantile}_ms"] = value
+    pool = read(stats.POOL_SIZE)
     return {
         "time": time.monotonic(),
         "requests": requests,
         "total": float(sum(requests.values())),
-        "errors": float(errors),
-        "latency": stats.get("latency", {}),
-        "batches": float(batching["batches"]),
-        "jobs": float(batching["jobs"]),
-        "queued_jobs": batching.get("queued_jobs", 0),
-        "uptime_seconds": stats["uptime_seconds"],
-        "enrolled": stats.get("gallery", {}).get("enrolled", 0),
-        "overloads": stats["overloads"],
-        "deadline_exceeded": stats["deadline_exceeded"],
-        "slow_requests": stats.get("slow_requests", 0),
-        "denied": float(denied),
-        "throttled": float(throttled),
-        "auth_enabled": stats.get("auth", {}).get("enabled", False),
-        "workers_alive": stats.get("workers", {}).get("alive", 0),
-        "workers_configured": stats.get("workers", {}).get("configured", 0),
-        "role": stats.get("replication", {}).get("role", "primary"),
-        "applied_lsn": stats.get("replication", {}).get("applied_lsn", 0),
-        "lag_records": stats.get("replication", {}).get("lag_records", 0),
+        "errors": float(sum(n for s, n in statuses.items() if s >= 400)),
+        "latency": latency,
+        "batches": float(count(stats.BATCHES)),
+        "jobs": float(count(stats.BATCHED_JOBS)),
+        "queued_jobs": count(stats.QUEUE_DEPTH),
+        "uptime_seconds": read(stats.UPTIME).get((), 0.0),
+        "enrolled": int(sum(read(stats.GALLERY_ENROLLED).values())),
+        "overloads": count(stats.OVERLOADS),
+        "deadline_exceeded": count(stats.DEADLINE_EXCEEDED),
+        "slow_requests": count(stats.SLOW_REQUESTS),
+        "denied": float(statuses.get(401, 0) + statuses.get(403, 0)),
+        "throttled": float(statuses.get(429, 0)),
+        "auth_enabled": bool(count(stats.AUTH_ENABLED)),
+        "workers_alive": int(pool.get(("alive",), 0)),
+        "workers_configured": int(pool.get(("configured",), 0)),
+        "role": next(iter(read(stats.REPLICATION_ROLE)), ("primary",))[0],
+        "applied_lsn": count(stats.APPLIED_LSN),
+        "lag_records": count(stats.LAG_RECORDS),
     }
 
 

@@ -69,7 +69,13 @@ from ..runtime.supervisor import RestartBudget
 from ..runtime.telemetry import get_logger
 from .batching import BatchingConfig, MicroBatcher
 from .gallery import UnknownIdentityError
-from .stats import ServiceStats
+from .stats import (
+    WORKER_DISPATCHES,
+    WORKER_JOBS,
+    WORKER_RESPAWNS,
+    WORKER_SHARD_SIZE,
+    ServiceStats,
+)
 
 _log = get_logger("service.workers")
 
@@ -533,7 +539,9 @@ class WorkerPool:
             for i in range(self._config.workers)
         ])
         for ping in pings:
-            self._stats.set_worker_shard(ping["worker"], ping["owned"])
+            self._stats.record(
+                WORKER_SHARD_SIZE, ping["owned"], worker=ping["worker"]
+            )
         for worker_id in range(self._config.workers):
             batcher = MicroBatcher(
                 _ShardClient(self, worker_id),
@@ -544,7 +552,6 @@ class WorkerPool:
             )
             await batcher.start()
             self._batchers.append(batcher)
-        self._stats.configure_workers(self._config.workers, self.alive_count)
         _log.info(
             "worker pool started",
             extra={"data": {
@@ -583,8 +590,6 @@ class WorkerPool:
             # are exactly the failure the teardown tests assert against.
             self._store.destroy()
             self._store = None
-        if not self._degraded:
-            self._stats.set_worker_alive(0)
 
     # ------------------------------------------------------------------
     # RPC core: retry-on-break, respawn, degrade
@@ -637,7 +642,8 @@ class WorkerPool:
     def _dispatch(self, worker_id: int, msg: tuple, jobs: int = 1):
         """An accounted RPC: tallies the per-worker dispatch counters."""
         result = self._rpc(worker_id, msg)
-        self._stats.record_worker_dispatch(worker_id, jobs)
+        self._stats.record(WORKER_DISPATCHES, worker=worker_id)
+        self._stats.record(WORKER_JOBS, jobs, worker=worker_id)
         return result
 
     def _note_break(self, broken: _WorkerHandle, exc: WorkerBrokenError) -> None:
@@ -663,7 +669,6 @@ class WorkerPool:
             broken.conn.close()
             if self._budget.note_restart():
                 self._degraded = True
-                self._stats.set_worker_degraded()
                 for handle in self._handles:
                     if handle is not None and handle is not broken:
                         handle.process.terminate()
@@ -679,8 +684,7 @@ class WorkerPool:
                 broken.worker_id, generation=broken.generation + 1
             )
             self._handles[broken.worker_id] = replacement
-            self._stats.record_worker_respawn(broken.worker_id)
-        self._stats.set_worker_alive(self.alive_count)
+            self._stats.record(WORKER_RESPAWNS, worker=broken.worker_id)
 
     # ------------------------------------------------------------------
     # Serving entry points
@@ -810,7 +814,7 @@ class WorkerPool:
             )
         except WorkerPoolDegradedError:
             return
-        self._stats.set_worker_shard(worker_id, int(owned))
+        self._stats.record(WORKER_SHARD_SIZE, int(owned), worker=worker_id)
 
     async def apply_delete(
         self, device: str, identity: str, lsn: int = 0
@@ -830,7 +834,7 @@ class WorkerPool:
             )
         except WorkerPoolDegradedError:
             return
-        self._stats.set_worker_shard(worker_id, int(owned))
+        self._stats.record(WORKER_SHARD_SIZE, int(owned), worker=worker_id)
 
 
 __all__ = [

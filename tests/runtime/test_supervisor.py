@@ -1,7 +1,11 @@
 """Supervised pool execution: retry policy, self-healing, ordering."""
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
+import repro.runtime.supervisor as supervisor_module
 from repro.runtime.errors import (
     ConfigurationError,
     PermanentError,
@@ -28,6 +32,12 @@ def recorder():
 # Module-level so pool workers can unpickle them.
 def _sum_batch(batch):
     return sum(batch)
+
+
+def _arm_crash_for_width(ledger_root, width):
+    """Pool initializer: crash batch 0 once per pool width."""
+    os.environ[ENV_SPEC] = "crash@task-batch0000:1"
+    os.environ[ENV_LEDGER] = os.path.join(ledger_root, f"width{width}")
 
 
 FAST = RetryPolicy(backoff_base=0.001, backoff_max=0.01, poll_interval=0.05)
@@ -203,11 +213,24 @@ class TestPooled:
         assert recorder.counter_value("supervisor.timeouts") >= 1
         assert recorder.counter_value("supervisor.pool_restarts") >= 1
 
-    def test_repeated_breakage_shrinks_then_degrades(self, recorder, chaos_env):
-        # Two targeted crashes: one at width 2 (shrinks the pool), one at
-        # width 1 (degrades to serial).  An untargeted budget could be
-        # spent by both workers in a single pool generation.
-        chaos_env("crash@task-batch0000:1,crash@task-batch0004:1")
+    def test_repeated_breakage_shrinks_then_degrades(
+        self, recorder, monkeypatch, tmp_path
+    ):
+        # One crash per pool width: batch 0 runs first in every pool
+        # generation, so it breaks the width-2 pool (which shrinks it)
+        # and, requeued, the width-1 pool (which degrades to serial).
+        # Each pool arms its workers with a ledger of its own width, so
+        # the second crash cannot fire early in the first generation,
+        # however many cores run it.
+        def width_armed_pool(max_workers, initializer=None, initargs=()):
+            return ProcessPoolExecutor(
+                max_workers=max_workers,
+                initializer=_arm_crash_for_width,
+                initargs=(str(tmp_path), max_workers),
+            )
+
+        monkeypatch.setattr(supervisor_module, "ProcessPoolExecutor",
+                            width_armed_pool)
         policy = RetryPolicy(
             backoff_base=0.001, poll_interval=0.05, shrink_after=1
         )

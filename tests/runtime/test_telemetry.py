@@ -112,6 +112,44 @@ class TestMetricsRegistry:
         reg.observe("h", 0.5)
         json.dumps(reg.snapshot())  # must not raise
 
+    def test_labeled_series_are_separate(self):
+        reg = MetricsRegistry()
+        reg.count("req", labels=(("endpoint", "verify"),))
+        reg.count("req", 2, labels=(("endpoint", "verify"),))
+        reg.count("req", labels=(("endpoint", "enroll"),))
+        reg.gauge("depth", 4)
+        assert reg.series() == {
+            "req": {(("endpoint", "verify"),): 3, (("endpoint", "enroll"),): 1},
+            "depth": {(): 4},
+        }
+        assert reg.counter_value("req") == 0  # no unlabeled series
+
+    def test_family_buckets_use_le_semantics(self):
+        reg = MetricsRegistry(family_buckets={"size": (1, 2, 4)})
+        for value in (1, 2, 3, 4, 9):
+            reg.observe("size", value)
+        reg.observe("other", 3)
+        hists = reg.snapshot()["histograms"]
+        assert hists["size"]["buckets"] == [1, 1, 2, 1]
+        assert len(hists["other"]["buckets"]) == len(DEFAULT_BUCKETS) + 1
+
+    def test_labeled_snapshot_merges(self):
+        labels = (("worker", "0"),)
+        a = MetricsRegistry(family_buckets={"h": (1.0,)})
+        a.count("jobs", 2, labels=labels)
+        a.observe("h", 0.5, labels=labels)
+        b = MetricsRegistry(family_buckets={"h": (1.0,)})
+        b.count("jobs", 3, labels=labels)
+        b.merge(a.snapshot())
+        assert b.series()["jobs"] == {labels: 5}
+        assert b.series()["h"][labels]["buckets"] == [1, 0]
+
+    def test_recorder_gauges_are_floats(self):
+        recorder = TelemetryRecorder()
+        recorder.gauge("g", 3)
+        assert recorder.metrics.snapshot()["gauges"]["g"] == 3.0
+        assert isinstance(recorder.metrics.snapshot()["gauges"]["g"], float)
+
 
 class TestSpans:
     def test_nesting_and_timing(self):

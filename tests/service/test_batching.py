@@ -198,7 +198,7 @@ class TestOverload:
                 await batcher.stop()
 
         asyncio.run(body())
-        assert stats.overloads == 1
+        assert stats.snapshot()["overloads"] == 1
 
 
 class TestDeadlines:
@@ -281,6 +281,6 @@ class TestStatsIntegration:
                 await batcher.stop()
 
         asyncio.run(body())
-        assert stats.batched_jobs == 6
+        assert stats.snapshot()["batching"]["jobs"] == 6
         assert 1 <= stats.batches < 6
         assert stats.max_batch_size() >= 2

@@ -5,14 +5,27 @@ import math
 import pytest
 
 from repro.runtime.telemetry import enable_telemetry, get_recorder, set_recorder
+from repro.service import (
+    ApiKeyAuthenticator,
+    BatchingConfig,
+    GalleryIndex,
+    ServiceClient,
+    ServiceRunner,
+    VerificationServer,
+    generate_key,
+    write_keyfile,
+)
 from repro.service.metrics import (
     EXPOSITION_CONTENT_TYPE,
     ExpositionParseError,
     parse_exposition,
     render_exposition,
     sample_value,
+    scraped,
 )
-from repro.service.stats import ServiceStats
+from repro.service.stats import FAMILIES, REQUESTS, ServiceStats
+
+FINGER = "right_index"
 
 
 @pytest.fixture(autouse=True)
@@ -122,6 +135,64 @@ class TestRenderer:
     def test_content_type_constant(self):
         assert EXPOSITION_CONTENT_TYPE.startswith("text/plain")
         assert "version=0.0.4" in EXPOSITION_CONTENT_TYPE
+
+
+class TestDeclaredFamilies:
+    """Every family in the declaration table, as a live server scrapes."""
+
+    @pytest.fixture()
+    def scrape(self, tmp_path, tiny_collection, matcher):
+        key = generate_key()
+        write_keyfile(tmp_path / "keys.json", [{
+            "principal": "ops", "key": key,
+            "roles": ["read", "write", "admin"], "limits": {},
+        }])
+        server = VerificationServer(
+            GalleryIndex(tmp_path / "gallery"),
+            matcher=matcher,
+            port=0,
+            batching=BatchingConfig(max_wait_ms=5.0),
+            auth=ApiKeyAuthenticator(tmp_path / "keys.json"),
+            workers=2,
+        )
+        with ServiceRunner(server) as (host, port):
+            with ServiceClient(host, port, api_key=key) as client:
+                for subject in (0, 1):
+                    client.enroll(
+                        f"subject-{subject}",
+                        tiny_collection.get(subject, FINGER, "D0", 0).template,
+                        device="D0",
+                    )
+                probe = tiny_collection.get(0, FINGER, "D0", 1).template
+                client.verify("subject-0", probe, device="D0")
+                client.identify(probe, device="D0", mode="two_stage")
+                return parse_exposition(client.metrics())
+
+    def test_rendered_families_are_exactly_the_declared_ones(self, scrape):
+        declared = {f.name for f in FAMILIES if f.name is not None}
+        rendered = {
+            name for name in scrape if not name.startswith("repro_telemetry_")
+        }
+        assert rendered == declared
+
+    def test_types_and_labels_match_the_declarations(self, scrape):
+        for family in FAMILIES:
+            if family.name is None:
+                continue
+            parsed = scrape[family.name]
+            assert parsed["type"] == family.kind, family.name
+            seen = set()
+            for _, labels, _ in parsed["samples"]:
+                seen |= set(labels) - {"le"}
+            assert seen <= set(family.labels), family.name
+            if seen:
+                assert seen == set(family.labels), family.name
+
+    def test_scraped_reads_a_family_back(self, scrape):
+        requests = scraped(scrape, REQUESTS)
+        assert requests[("enroll",)] == 2
+        assert requests[("verify",)] == 1
+        assert set(requests) == {(e,) for e in REQUESTS.values}
 
 
 class TestStrictParser:

@@ -2,16 +2,20 @@
 
 Every public module, class and function in the library must carry a
 docstring — the deliverable says "doc comments on every public item",
-and this meta-test enforces it so regressions cannot slip in.
+and this meta-test enforces it so regressions cannot slip in.  The
+serving metric tables in ``docs/observability.md`` must match the
+metric declarations they are generated from.
 """
 
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro.service.metrics import catalogue_rows
 
 SKIP_MODULES = {"repro.__main__"}
 
@@ -63,3 +67,19 @@ def test_public_callables_documented(module):
 def test_package_exports_resolve():
     for name in repro.__all__:
         assert getattr(repro, name, None) is not None, name
+
+
+def test_observability_metric_tables_match_declarations():
+    doc = Path(__file__).resolve().parents[1] / "docs" / "observability.md"
+    lines = doc.read_text().splitlines()
+    telemetry, exposition = catalogue_rows()
+    committed_telemetry = [
+        line for line in lines
+        if line.startswith(("| `service.", "| `index."))
+    ]
+    committed_exposition = [
+        line for line in lines if line.startswith("| `repro_")
+    ]
+    hint = "regenerate the rows with repro.service.metrics.catalogue_rows()"
+    assert committed_telemetry == telemetry, hint
+    assert committed_exposition == exposition, hint
