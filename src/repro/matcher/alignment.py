@@ -71,15 +71,18 @@ def candidate_pairs(
     """
     if similarity.size == 0:
         return np.zeros((0, 3))
-    ii, jj = np.where(similarity >= min_similarity)
-    if ii.size == 0:
+    flat_similarity = similarity.ravel()
+    flat = np.flatnonzero(flat_similarity >= min_similarity)
+    if flat.size == 0:
         # Fall back to the global best few, even if weak: impostor scores
         # also need an alignment attempt, like a real matcher makes.
         flat = np.argsort(similarity, axis=None)[::-1][: min(8, similarity.size)]
-        ii, jj = np.unravel_index(flat, similarity.shape)
-    sims = similarity[ii, jj]
-    order = np.argsort(sims)[::-1][:MAX_CANDIDATES]
-    return np.column_stack([ii[order], jj[order], sims[order]]).astype(np.float64)
+    sims = flat_similarity[flat]
+    chosen = flat[np.argsort(sims)[::-1][:MAX_CANDIDATES]]
+    out = np.empty((chosen.size, 3), dtype=np.float64)
+    out[:, 0], out[:, 1] = np.divmod(chosen, similarity.shape[1])
+    out[:, 2] = flat_similarity[chosen]
+    return out
 
 
 def estimate_alignments(
@@ -121,20 +124,19 @@ def estimate_alignments(
     ty_bins = np.round(ty / TRANSLATION_BIN_MM).astype(np.int64)
 
     votes: dict = {}
-    for k in range(len(weights)):
-        cell = (theta_bins[k], tx_bins[k], ty_bins[k])
-        votes[cell] = votes.get(cell, 0.0) + float(weights[k])
+    cells = list(zip(theta_bins.tolist(), tx_bins.tolist(), ty_bins.tolist()))
+    for cell, weight in zip(cells, weights.tolist()):
+        votes[cell] = votes.get(cell, 0.0) + weight
     ranked_cells = sorted(votes, key=votes.get, reverse=True)
 
     transforms: List[RigidTransform] = []
-    for cell in ranked_cells[:max_hypotheses]:
-        in_consensus = (
-            (np.abs(theta_bins - cell[0]) <= 1)
-            & (np.abs(tx_bins - cell[1]) <= 1)
-            & (np.abs(ty_bins - cell[2]) <= 1)
-        )
-        if not np.any(in_consensus):
-            continue
+    for ct, cx, cy in ranked_cells[:max_hypotheses]:
+        # Never empty: the winning cells hold at least their own votes.
+        in_consensus = [
+            k for k, (t, x, y) in enumerate(cells)
+            if ct - 1 <= t <= ct + 1 and cx - 1 <= x <= cx + 1
+            and cy - 1 <= y <= cy + 1
+        ]
         transforms.append(
             _weighted_rigid_fit(
                 pa[in_consensus], pb[in_consensus], weights[in_consensus],
@@ -180,10 +182,12 @@ def _weighted_rigid_fit(
     qa = pa - ca
     qb = pb - cb
     # Cross-covariance terms for the optimal 2-D rotation.
-    sxx = float(np.sum(w * qa[:, 0] * qb[:, 0]))
-    syy = float(np.sum(w * qa[:, 1] * qb[:, 1]))
-    sxy = float(np.sum(w * qa[:, 0] * qb[:, 1]))
-    syx = float(np.sum(w * qa[:, 1] * qb[:, 0]))
+    wqa_x = w * qa[:, 0]
+    wqa_y = w * qa[:, 1]
+    sxx = float((wqa_x * qb[:, 0]).sum())
+    syy = float((wqa_y * qb[:, 1]).sum())
+    sxy = float((wqa_x * qb[:, 1]).sum())
+    syx = float((wqa_y * qb[:, 0]).sum())
     denom = sxx + syy
     numer = sxy - syx
     if abs(denom) < 1e-12 and abs(numer) < 1e-12:

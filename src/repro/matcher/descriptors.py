@@ -20,13 +20,12 @@ stage with its candidate correspondences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .types import Template
 
-#: Neighbours per descriptor.
+#: Neighbours per descriptor.  :func:`similarity_matrix` reads a
+#: minutia's K compatibility flags as one ``uint32``, so K is 4.
 NEIGHBOURS = 4
 
 #: Entry-matching tolerances.
@@ -52,23 +51,27 @@ class DescriptorSet:
         which never matches.
     n:
         Number of minutiae described.
+    channels:
+        ``(3, n * K)`` contiguous per-channel copy of ``entries``: row
+        ``c`` holds channel ``c`` of minutia ``i``'s K entries at
+        ``i * K .. i * K + K - 1``, the layout :func:`similarity_matrix`
+        reads.
+    finite_counts:
+        ``(n,)`` count of real (non-padding) neighbour entries per
+        minutia.
     """
 
     entries: np.ndarray
     n: int
-    #: ``(3, n, K)`` contiguous per-channel view of ``entries`` and the
-    #: per-minutia count of real (non-padding) neighbour entries; both are
-    #: derivable from ``entries`` and exist so :func:`similarity_matrix`
-    #: does not recompute them for every comparison the set appears in.
-    channels: Optional[np.ndarray] = None
-    finite_counts: Optional[np.ndarray] = None
+    channels: np.ndarray
+    finite_counts: np.ndarray
 
 
 def _descriptor_set(entries: np.ndarray, n: int) -> DescriptorSet:
     return DescriptorSet(
         entries=entries,
         n=n,
-        channels=np.ascontiguousarray(entries.transpose(2, 0, 1)),
+        channels=np.ascontiguousarray(entries.transpose(2, 0, 1)).reshape(3, -1),
         finite_counts=np.sum(np.isfinite(entries[:, :, 0]), axis=1),
     )
 
@@ -111,44 +114,52 @@ def similarity_matrix(a: DescriptorSet, b: DescriptorSet) -> np.ndarray:
     if a.n == 0 or b.n == 0:
         return np.zeros((a.n, b.n), dtype=np.float64)
 
-    cha = a.channels if a.channels is not None else np.ascontiguousarray(a.entries.transpose(2, 0, 1))
-    chb = b.channels if b.channels is not None else np.ascontiguousarray(b.entries.transpose(2, 0, 1))
+    cha, chb = a.channels, b.channels
 
-    # Pairwise entry compatibility tensor: (na, nb, K, K), built with
-    # in-place ufuncs to keep the temporary count down — this runs once
-    # per comparison and is the kernel's largest allocation.
-    scratch = cha[0][:, None, :, None] - chb[0][None, :, None, :]
+    # Entry compatibility on the 2-D (na*K, nb*K) grid: cell
+    # (i*K + p, j*K + q) compares entry p of a_i with entry q of b_j.
+    # One outer difference per channel keeps numpy's inner loop as long
+    # as a row of the grid instead of K elements.
+    scratch = np.subtract.outer(cha[0], chb[0])
     np.abs(scratch, out=scratch)
     compatible = scratch <= DISTANCE_TOL_MM
+    within = np.empty_like(compatible)
+    wraps = np.empty_like(compatible)
 
     for channel, tolerance in ((1, AZIMUTH_TOL_RAD), (2, RELATIVE_TOL_RAD)):
-        np.subtract(
-            cha[channel][:, None, :, None],
-            chb[channel][None, :, None, :],
-            out=scratch,
-        )
+        np.subtract.outer(cha[channel], chb[channel], out=scratch)
         # Angle entries are already wrapped into (-pi, pi], so their raw
         # difference lies in (-2pi, 2pi) and |wrap(difference)| <= tol is
         # exactly |difference| <= tol or |difference| >= 2pi - tol —
         # no modulo needed.
         np.abs(scratch, out=scratch)
-        within = scratch <= tolerance
-        within |= scratch >= (2.0 * np.pi - tolerance)
+        np.less_equal(scratch, tolerance, out=within)
+        np.greater_equal(scratch, 2.0 * np.pi - tolerance, out=wraps)
+        within |= wraps
         compatible &= within
 
     # Greedy one-to-one entry matching per (i, j): count row/column-unique
     # compatibilities.  With K=4 a simple double-sided cap is exact in the
     # overwhelming majority of cases and errs by at most one entry.
-    row_hits = compatible.any(axis=3).sum(axis=2)  # entries of a_i matched
-    col_hits = compatible.any(axis=2).sum(axis=2)  # entries of b_j matched
-    matched = np.minimum(row_hits, col_hits).astype(np.float64)
+    #
+    # The K=4 bools of b_j's entries in one grid row are one uint32, so
+    # a non-zero word means "entry p of a_i matches some entry of b_j".
+    words = compatible.view(np.uint32).reshape(a.n, NEIGHBOURS, b.n)
+    hit = (words != 0).view(np.uint8)
+    row_hits = hit[:, 0] + hit[:, 1] + hit[:, 2] + hit[:, 3]
+    # OR-ing a_i's K words leaves one 0/1 byte per entry of b_j that
+    # matches some entry of a_i; the multiply sums the four bytes into
+    # the top byte (no carries: the sum is at most 4).
+    col_any = words[:, 0] | words[:, 1] | words[:, 2] | words[:, 3]
+    col_hits = (col_any * np.uint32(0x01010101)) >> np.uint32(24)
+    matched = np.minimum(row_hits, col_hits)
 
-    fca = a.finite_counts if a.finite_counts is not None else np.sum(np.isfinite(a.entries[:, :, 0]), axis=1)
-    fcb = b.finite_counts if b.finite_counts is not None else np.sum(np.isfinite(b.entries[:, :, 0]), axis=1)
-    k_effective = np.minimum(fca[:, None], fcb[None, :])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sim = np.where(k_effective > 0, matched / np.maximum(k_effective, 1), 0.0)
-    return np.clip(sim, 0.0, 1.0)
+    # matched <= min(finite_a, finite_b) because padding never matches,
+    # so the ratio already lies in [0, 1] and is 0 where either side has
+    # no real entries.
+    k_effective = np.minimum.outer(a.finite_counts, b.finite_counts)
+    np.maximum(k_effective, 1, out=k_effective)
+    return matched / k_effective
 
 
 __all__ = [

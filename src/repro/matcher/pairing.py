@@ -90,9 +90,9 @@ def pair_minutiae(
     moved_a = transform.apply(positions_a)
     moved_angles_a = transform.apply_angles(angles_a)
 
-    dist = moved_a[:, 0][:, None] - positions_b[:, 0][None, :]
+    dist = np.subtract.outer(moved_a[:, 0], positions_b[:, 0])
     dist *= dist
-    dy = moved_a[:, 1][:, None] - positions_b[:, 1][None, :]
+    dy = np.subtract.outer(moved_a[:, 1], positions_b[:, 1])
     dy *= dy
     dist += dy
     np.sqrt(dist, out=dist)
@@ -101,9 +101,6 @@ def pair_minutiae(
     # element-wise arithmetic, therefore identical feasibility decisions.
     close_i, close_j = np.nonzero(dist <= position_tol_mm)
 
-    pairs: List[Tuple[int, int]] = []
-    residuals: List[float] = []
-    angle_residuals: List[float] = []
     if close_i.size:
         angle_diff = np.abs(
             wrap_angle(moved_angles_a[close_i] - angles_b[close_j])
@@ -115,26 +112,33 @@ def pair_minutiae(
         feas_angle = angle_diff[within_angle]
         # Greedy nearest-first over the feasible entries only; sorting the
         # (usually sparse) feasible set is equivalent to sorting the full
-        # cost matrix and stopping at the first infinite entry.
+        # cost matrix and stopping at the first infinite entry.  The loop
+        # runs on Python ints, and gathers the kept entries once at the end.
         order = np.argsort(feas_dist + 0.3 * feas_angle)
-        used_a = np.zeros(len(positions_a), dtype=bool)
-        used_b = np.zeros(len(positions_b), dtype=bool)
-        for idx in order:
-            i = int(feas_i[idx])
-            j = int(feas_j[idx])
+        used_a = bytearray(len(positions_a))
+        used_b = bytearray(len(positions_b))
+        kept: List[int] = []
+        for idx, i, j in zip(
+            order.tolist(), feas_i[order].tolist(), feas_j[order].tolist()
+        ):
             if used_a[i] or used_b[j]:
                 continue
-            used_a[i] = True
-            used_b[j] = True
-            pairs.append((i, j))
-            residuals.append(float(dist[i, j]))
-            angle_residuals.append(float(feas_angle[idx]))
+            used_a[i] = used_b[j] = 1
+            kept.append(idx)
+        pairs = np.empty((len(kept), 2), dtype=np.int64)
+        pairs[:, 0] = feas_i[kept]
+        pairs[:, 1] = feas_j[kept]
+        residuals = feas_dist[kept]
+        angle_residuals = feas_angle[kept]
+    else:
+        pairs = np.zeros((0, 2), dtype=np.int64)
+        residuals, angle_residuals = np.zeros(0), np.zeros(0)
 
     n_overlap_a, n_overlap_b = _overlap_counts(moved_a, positions_b)
     return PairingResult(
-        pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2),
-        residuals_mm=np.array(residuals, dtype=np.float64),
-        angle_residuals_rad=np.array(angle_residuals, dtype=np.float64),
+        pairs=pairs,
+        residuals_mm=residuals,
+        angle_residuals_rad=angle_residuals,
         n_overlap_a=n_overlap_a,
         n_overlap_b=n_overlap_b,
     )
@@ -142,15 +146,21 @@ def pair_minutiae(
 
 def _overlap_counts(moved_a: np.ndarray, positions_b: np.ndarray) -> Tuple[int, int]:
     """Minutiae of each template inside the common bounding-box overlap."""
-    a_min, a_max = moved_a.min(axis=0), moved_a.max(axis=0)
-    b_min, b_max = positions_b.min(axis=0), positions_b.max(axis=0)
-    lo = np.maximum(a_min, b_min) - OVERLAP_PAD_MM
-    hi = np.minimum(a_max, b_max) + OVERLAP_PAD_MM
-    if np.any(hi <= lo):
+    lo = np.maximum(moved_a.min(axis=0), positions_b.min(axis=0))
+    lo -= OVERLAP_PAD_MM
+    hi = np.minimum(moved_a.max(axis=0), positions_b.max(axis=0))
+    hi += OVERLAP_PAD_MM
+    (lo_x, lo_y), (hi_x, hi_y) = lo.tolist(), hi.tolist()
+    if hi_x <= lo_x or hi_y <= lo_y:
         return 0, 0
-    in_a = np.all((moved_a >= lo) & (moved_a <= hi), axis=1)
-    in_b = np.all((positions_b >= lo) & (positions_b <= hi), axis=1)
-    return int(np.count_nonzero(in_a)), int(np.count_nonzero(in_b))
+    return _count_inside(moved_a, lo, hi), _count_inside(positions_b, lo, hi)
+
+
+def _count_inside(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+    """Rows of the ``(n, 2)`` ``points`` inside the box ``[lo, hi]``."""
+    inside = points >= lo
+    inside &= points <= hi
+    return int(np.count_nonzero(inside[:, 0] & inside[:, 1]))
 
 
 __all__ = [

@@ -153,15 +153,16 @@ def template_from_arrays(
     qua = np.asarray(qualities, dtype=np.int64).ravel()
     if not (len(pos) == len(ang) == len(knd) == len(qua)):
         raise MatcherError("parallel minutia arrays must have equal length")
+    # One array operation per column, then plain Python scalars: the same
+    # values the per-minutia numpy-scalar conversions produced.
     minutiae = tuple(
-        Minutia(
-            x=float(pos[i, 0]),
-            y=float(pos[i, 1]),
-            angle=float(np.mod(ang[i], 2.0 * np.pi)),
-            kind=int(knd[i]),
-            quality=int(np.clip(qua[i], 0, 100)),
+        Minutia(x=x, y=y, angle=angle, kind=kind, quality=quality)
+        for (x, y), angle, kind, quality in zip(
+            pos.tolist(),
+            np.mod(ang, 2.0 * np.pi).tolist(),
+            knd.tolist(),
+            np.clip(qua, 0, 100).tolist(),
         )
-        for i in range(len(pos))
     )
     return Template(
         minutiae=minutiae,

@@ -146,8 +146,13 @@ class SmoothWarpField:
 
     def _raw_displacement(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
-        diff = pts[:, None, :] - self._centers[None, :, :]
-        dist_sq = np.sum(diff**2, axis=2)
+        # dx*dx + dy*dy is the one addition a sum over the length-2 axis
+        # makes, without numpy's per-row inner loop of two elements.
+        dx = np.subtract.outer(pts[:, 0], self._centers[:, 0])
+        dy = np.subtract.outer(pts[:, 1], self._centers[:, 1])
+        dx *= dx
+        dy *= dy
+        dist_sq = dx + dy
         weights = np.exp(-dist_sq / (2.0 * self.scale_mm**2))
         return weights @ self._vectors
 
