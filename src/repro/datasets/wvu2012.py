@@ -41,7 +41,12 @@ from ..runtime.config import StudyConfig, resolve_worker_count
 from ..runtime.parallel import parallel_map_batched
 from ..runtime.progress import NullProgress, ProgressReporter
 from ..runtime.rng import SeedTree
-from ..runtime.telemetry import get_logger, get_recorder
+from ..runtime.telemetry import (
+    TelemetryRecorder,
+    get_logger,
+    get_recorder,
+    set_recorder,
+)
 from ..sensors.base import Impression
 from ..sensors.codec import (
     impressions_from_arrays,
@@ -138,6 +143,23 @@ def _acquire_subject_shard(
     config = _WORKER_STATE["config"]
     settings = _WORKER_STATE["settings"]
     return [(sid, subject_session(config, sid, settings)) for sid in subject_ids]
+
+
+def _acquire_subject_shard_with_metrics(
+    subject_ids: Sequence[int],
+) -> Tuple[List[Tuple[int, List[Impression]]], dict]:
+    """Worker body used when telemetry is on: the shard plus its metrics.
+
+    The shard records into a fresh recorder, so the snapshot covers
+    exactly this shard whether it runs in a pool worker or in-process
+    (the supervisor's serial fallback); the parent merges the snapshots.
+    """
+    previous = set_recorder(TelemetryRecorder())
+    try:
+        shard = _acquire_subject_shard(subject_ids)
+        return shard, get_recorder().metrics.snapshot()
+    finally:
+        set_recorder(previous)
 
 
 def _load_cached_subjects(
@@ -271,13 +293,22 @@ def _acquire_missing(
                 missing[i : i + shard_size]
                 for i in range(0, len(missing), shard_size)
             ]
+
+            def _collect_with_metrics(result) -> None:
+                # Worker-side acquisition.* counters ride back with each
+                # shard; merging keeps them equal to a serial build's.
+                shard, snapshot = result
+                recorder.merge_metrics(snapshot)
+                _collect(shard)
+
             parallel_map_batched(
-                _acquire_subject_shard,
+                _acquire_subject_shard_with_metrics
+                if recorder.active else _acquire_subject_shard,
                 shards,
                 n_workers=workers,
                 initializer=_init_acquire_worker,
                 initargs=(config, settings),
-                on_result=_collect,
+                on_result=_collect_with_metrics if recorder.active else _collect,
             )
             if recorder.active:
                 recorder.count("acquire.parallel.subjects", len(missing))

@@ -159,6 +159,25 @@ class TestParallelAcquisition:
         monkeypatch.undo()
         assert pooled == build_collection(base)
 
+    def test_pooled_acquisition_counters_equal_serial(self, monkeypatch, recorder):
+        import repro.datasets.wvu2012 as wvu2012
+
+        def acquisition_counters(config):
+            live = enable_telemetry()
+            build_collection(config)
+            return {
+                name: value
+                for name, value in live.metrics.snapshot()["counters"].items()
+                if name.startswith("acquisition.")
+            }
+
+        base = StudyConfig(n_subjects=8, master_seed=5)
+        serial = acquisition_counters(base)
+        monkeypatch.setattr(wvu2012, "resolve_worker_count", lambda n: 2)
+        pooled = acquisition_counters(base.replace(n_workers=2))
+        assert serial["acquisition.attempts"] >= serial["acquisition.impressions"] > 0
+        assert pooled == serial
+
 
 class TestQualityTier:
     def test_quality_arrays_complete_after_build(self, tmp_path):
