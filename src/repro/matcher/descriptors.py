@@ -20,6 +20,7 @@ stage with its candidate correspondences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .types import Template

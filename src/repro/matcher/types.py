@@ -153,8 +153,8 @@ def template_from_arrays(
     qua = np.asarray(qualities, dtype=np.int64).ravel()
     if not (len(pos) == len(ang) == len(knd) == len(qua)):
         raise MatcherError("parallel minutia arrays must have equal length")
-    # One array operation per column, then plain Python scalars: the same
-    # values the per-minutia numpy-scalar conversions produced.
+    # One array operation per column; ``tolist`` hands Minutia plain
+    # Python scalars, so validation runs without numpy-scalar overhead.
     minutiae = tuple(
         Minutia(x=x, y=y, angle=angle, kind=kind, quality=quality)
         for (x, y), angle, kind, quality in zip(
