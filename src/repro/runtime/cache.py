@@ -21,7 +21,7 @@ import re
 import tempfile
 import zipfile
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,14 @@ _KEY_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _CORRUPT_ENTRY_ERRORS = (OSError, ValueError, zipfile.BadZipFile)
 
 _log = get_logger("cache")
+
+
+def _decode_meta(raw: np.ndarray) -> Optional[dict]:
+    """The JSON ``__meta__`` member of a bundle (``None`` if unreadable)."""
+    try:
+        return json.loads(raw.tobytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
 
 
 class NpzDirectory:
@@ -129,11 +137,11 @@ class NpzDirectory:
                 pass
             raise CacheError(f"could not write cache entry {key!r}: {exc}") from exc
 
-    def load(self, key: str) -> Optional[Dict[str, np.ndarray]]:
-        """Return the arrays stored under ``key``, or ``None`` on a miss.
+    def _read(self, key: str) -> Optional[Dict[str, np.ndarray]]:
+        """Every member of ``key``'s bundle (``__meta__`` included).
 
-        A corrupt entry is treated as a miss (and removed) rather than an
-        error: the cache is an optimization, never a source of truth.
+        Counts the hit/miss/corrupt/bytes_read telemetry; a corrupt
+        entry is a miss, removed unless the store is read-only.
         """
         if self._root is None:
             return None
@@ -164,8 +172,32 @@ class NpzDirectory:
             return None
         self._count("hit")
         self._count("bytes_read", size)
-        arrays.pop("__meta__", None)
         return arrays
+
+    def load(self, key: str) -> Optional[Dict[str, np.ndarray]]:
+        """Return the arrays stored under ``key``, or ``None`` on a miss.
+
+        A corrupt entry is treated as a miss (and removed) rather than an
+        error: the cache is an optimization, never a source of truth.
+        """
+        arrays = self._read(key)
+        if arrays is not None:
+            arrays.pop("__meta__", None)
+        return arrays
+
+    def load_entry(
+        self, key: str
+    ) -> Optional[Tuple[Dict[str, np.ndarray], Optional[dict]]]:
+        """``(arrays, meta)`` from one read of ``key``, or ``None`` on a miss.
+
+        :meth:`load` and :meth:`load_meta` together, opening and parsing
+        the bundle once; counts exactly what :meth:`load` counts.
+        """
+        arrays = self._read(key)
+        if arrays is None:
+            return None
+        raw = arrays.pop("__meta__", None)
+        return arrays, None if raw is None else _decode_meta(raw)
 
     def load_meta(self, key: str) -> Optional[dict]:
         """Return the JSON metadata stored alongside ``key``, if any."""
@@ -178,14 +210,11 @@ class NpzDirectory:
             with np.load(path) as bundle:
                 if "__meta__" not in bundle.files:
                     return None
-                raw = bytes(bundle["__meta__"].tobytes())
+                raw = bundle["__meta__"]
         except _CORRUPT_ENTRY_ERRORS:
             self._count("corrupt")
             return None
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
+        return _decode_meta(raw)
 
     def invalidate(self, key: str) -> bool:
         """Remove ``key`` from the cache; returns whether it existed."""

@@ -358,16 +358,11 @@ class GalleryIndex:
         # file that vanished or rotted since the checkpoint.
         for rec in records:
             if rec.op == "enroll":
-                record = record_from_wal(rec.data, lsn=rec.lsn)
-                key = (record.device, record.identity)
-                existing = self._records.get(key)
-                if (
-                    existing is not None
-                    and existing.enrolled_at == record.enrolled_at
-                ):
+                if self._already_applied(rec.data):
                     continue
+                record = record_from_wal(rec.data, lsn=rec.lsn)
                 self._store_record(record)
-                self._records[key] = record
+                self._records[(record.device, record.identity)] = record
                 applied += 1
             elif rec.op == "delete":
                 try:
@@ -398,12 +393,29 @@ class GalleryIndex:
         if self._wal.last_lsn:
             self._wal.checkpoint(self._wal.last_lsn)
 
+    def _already_applied(self, data: dict) -> bool:
+        """Whether an ``enroll`` payload is already the stored record.
+
+        Checked on the payload's key and timestamp alone, so replaying
+        an applied log builds no template or descriptor; a malformed
+        payload reads as not applied and fails in :func:`record_from_wal`.
+        """
+        try:
+            existing = self._records.get(
+                (str(data["device"]), str(data["identity"]))
+            )
+            return (
+                existing is not None
+                and existing.enrolled_at == float(data["enrolled_at"])
+            )
+        except (KeyError, TypeError, ValueError):
+            return False
+
     def _load_record(
         self, shard: NpzDirectory, device: str, identity: str
     ) -> Optional[GalleryRecord]:
-        arrays = shard.load(identity)
-        meta = shard.load_meta(identity)
-        if arrays is None or meta is None:
+        arrays, meta = shard.load_entry(identity) or (None, None)
+        if meta is None:
             return None
         try:
             template = template_from_arrays(
@@ -508,12 +520,11 @@ class GalleryIndex:
         set, dimension, non-finite rows) means it is discarded and
         rebuilt — corruption-as-miss, never corruption-as-truth.
         """
-        arrays = self._index_store.load(device)
-        meta = self._index_store.load_meta(device)
+        arrays, meta = self._index_store.load_entry(device) or (None, None)
         expected = sorted(
             identity for (dev, identity) in self._records if dev == device
         )
-        if arrays is not None and meta is not None:
+        if meta is not None:
             matrix = arrays.get("matrix")
             identities = list(meta.get("identities", []))
             if (
@@ -797,6 +808,31 @@ class GalleryIndex:
             for (dev, identity), record in sorted(self._records.items())
         }
 
+    def size(self, device: Optional[str] = None) -> int:
+        """Records in :meth:`candidates`' scope, without building it.
+
+        Every record sits in its device's prefilter index, so the index
+        lengths are the shard sizes.
+        """
+        if device is not None:
+            index = self._indexes.get(device)
+            return len(index) if index is not None else 0
+        return sum(len(index) for index in self._indexes.values())
+
+    def lookup(
+        self, keys: List[str], device: Optional[str] = None
+    ) -> List[Template]:
+        """The templates of ``keys`` named as :meth:`candidates` names them.
+
+        The two-stage search scores only its K survivors, so it fetches
+        those by key instead of materialising the whole search space.
+        """
+        if device is not None:
+            return [self._records[(device, key)].template for key in keys]
+        return [
+            self._records[tuple(key.split("/", 1))].template for key in keys
+        ]
+
     def prefilter(
         self,
         probe: Template,
@@ -820,8 +856,8 @@ class GalleryIndex:
                 return []
             return self._indexes[device].top_k(vector, k)
         shards = []
-        for dev in self.devices():
-            local = self._indexes[dev].top_k(vector, k)
+        for dev, index in self._indexes.items():
+            local = index.top_k(vector, k)
             shards.append([
                 PrefilterCandidate(
                     key=f"{dev}/{c.key}", distance=c.distance, rank=c.rank

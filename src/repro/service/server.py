@@ -97,7 +97,7 @@ import os
 import time
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.identification import DEFAULT_CANDIDATE_K, IDENTIFY_MODES
 from ..io.incits378 import decode as decode_378
@@ -1309,29 +1309,39 @@ class VerificationServer:
     async def _identify_local(
         self, probe, device, mode, candidate_k, max_candidates, timeout_s
     ):
-        """The single-process 1:N search — unchanged pre-pool behavior.
+        """The single-process 1:N search.
 
         Also the live fallback when the worker pool has degraded, which
-        is why it stays a complete, self-contained path.
+        is why it stays a complete, self-contained path.  Two-stage mode
+        reads only the shard size and the K survivors' templates.
         """
+        two_stage = mode == "two_stage"
         with _phase("gallery"):
-            candidates = self.gallery.candidates(device=device)
-        gallery_size = len(candidates)
+            if two_stage:
+                gallery_size = self.gallery.size(device)
+            else:
+                candidates = self.gallery.candidates(device=device)
+                gallery_size = len(candidates)
         prefilter_seconds = 0.0
         prefilter_ranks: Dict[str, int] = {}
-        if mode == "two_stage" and gallery_size:
-            with _phase("prefilter"):
-                prefilter_started = time.perf_counter()
-                survivors = self.gallery.prefilter(
-                    probe, device=device, k=candidate_k
-                )
-                prefilter_seconds = time.perf_counter() - prefilter_started
-            prefilter_ranks = {c.key: c.rank for c in survivors}
-            shortlist = sorted(prefilter_ranks)
+        if two_stage:
+            shortlist: List[str] = []
+            if gallery_size:
+                with _phase("prefilter"):
+                    prefilter_started = time.perf_counter()
+                    survivors = self.gallery.prefilter(
+                        probe, device=device, k=candidate_k
+                    )
+                    prefilter_seconds = time.perf_counter() - prefilter_started
+                prefilter_ranks = {c.key: c.rank for c in survivors}
+                shortlist = sorted(prefilter_ranks)
+            # No await since the prefilter: every survivor is still enrolled.
+            templates = self.gallery.lookup(shortlist, device)
         else:
             shortlist = sorted(candidates)
+            templates = [candidates[identity] for identity in shortlist]
         scores = await self.batcher.score(
-            [(probe, candidates[identity]) for identity in shortlist],
+            [(probe, template) for template in templates],
             timeout_s=timeout_s,
         )
         ranked = sorted(

@@ -234,10 +234,11 @@ class _WorkerShard:
     ) -> Tuple[int, List[Tuple[str, float, int]]]:
         """Local coarse top-K over the shard, exactly as the parent would."""
         if device is not None:
-            scope_size = sum(1 for dev, _ in self._owned if dev == device)
             index = self._indexes.get(device)
-            local = index.top_k(vector, k) if index is not None else []
-            return scope_size, [(c.key, c.distance, c.rank) for c in local]
+            if index is None:
+                return 0, []
+            local = index.top_k(vector, k)
+            return len(index), [(c.key, c.distance, c.rank) for c in local]
         shards = []
         for dev in sorted(self._indexes):
             local = self._indexes[dev].top_k(vector, k)

@@ -205,6 +205,19 @@ class TestPrefilterIndex:
         got = [c.key for c in index.top_k(np.zeros(DESCRIPTOR_DIM), 3)]
         assert got == ["apple", "mango", "zebra"]
 
+    @pytest.mark.parametrize("order", [("b", "a"), ("a", "b")])
+    def test_tie_at_the_kth_place_breaks_by_key(self, rng, order):
+        # Duplicate descriptors tie at the K-th distance: the shortlist
+        # must not depend on which was enrolled first.
+        same = rng.normal(size=DESCRIPTOR_DIM)
+        index = PrefilterIndex(dim=DESCRIPTOR_DIM)
+        for key in order:
+            index.add(key, same)
+        index.add("far", same + 1.0)
+        probe = rng.normal(size=DESCRIPTOR_DIM)
+        assert [c.key for c in index.top_k(probe, 1)] == ["a"]
+        assert [c.key for c in index.top_k(probe, 2)] == ["a", "b"]
+
 
 class TestMergeShardCandidates:
     def test_global_top_k_across_shards(self, rng):

@@ -41,6 +41,16 @@ class TestRoundTrip:
     def test_miss_returns_none(self, cache):
         assert cache.load("absent") is None
         assert cache.load_meta("absent") is None
+        assert cache.load_entry("absent") is None
+
+    def test_load_entry_returns_arrays_and_meta(self, cache):
+        cache.store("k", {"a": np.arange(3.0)}, meta={"n": 3})
+        arrays, meta = cache.load_entry("k")
+        assert set(arrays) == {"a"}
+        np.testing.assert_array_equal(arrays["a"], np.arange(3.0))
+        assert meta == {"n": 3}
+        cache.store("bare", {"a": np.zeros(1)})
+        assert cache.load_entry("bare")[1] is None
 
 
 class TestDisabled:
@@ -88,6 +98,20 @@ class TestRobustness:
         cache.store("bad", {"a": np.ones(2)})
         np.testing.assert_array_equal(cache.load("bad")["a"], np.ones(2))
         assert recorder.metrics.counter_value("cache.hit") == 1
+
+    def test_load_entry_counts_like_load(self, cache, tmp_path, recorder):
+        cache.store("k", {"a": np.zeros(1)}, meta={"n": 1})
+        cache.store("bad", {"a": np.zeros(1)})
+        (tmp_path / "cache" / "bad.npz").write_bytes(b"PK\x03\x04" + b"\x00" * 64)
+        assert cache.load_entry("k") is not None
+        assert cache.load_entry("bad") is None
+        assert cache.load_entry("absent") is None
+        assert not (tmp_path / "cache" / "bad.npz").exists()
+        counters = recorder.metrics.snapshot()["counters"]
+        assert counters["cache.hit"] == 1
+        assert counters["cache.corrupt"] == 1
+        assert counters["cache.miss"] == 2
+        assert counters["cache.bytes_read"] == (tmp_path / "cache" / "k.npz").stat().st_size
 
     def test_hit_miss_store_counters(self, cache, recorder):
         assert cache.load("absent") is None

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.service import gallery as gallery_module
 from repro.service import (
     BatchingConfig,
     GalleryIndex,
@@ -58,6 +59,34 @@ class TestGalleryDurability:
         assert len(reborn) == len(SUBJECTS)
         healed = reborn.get("subject-1", device="D0")
         assert healed.template == tiny_collection.get(1, FINGER, "D0", 0).template
+
+    def test_replaying_an_applied_log_builds_no_descriptor(
+        self, tmp_path, tiny_collection, monkeypatch
+    ):
+        root = tmp_path / "gallery"
+        with GalleryIndex(root) as gallery:
+            for sid in SUBJECTS:
+                gallery.enroll(
+                    f"subject-{sid}",
+                    tiny_collection.get(sid, FINGER, "D0", 0).template,
+                    device="D0",
+                )
+        built = []
+        real = gallery_module.descriptor_vector
+        monkeypatch.setattr(
+            gallery_module, "descriptor_vector",
+            lambda template: built.append(template) or real(template),
+        )
+        with GalleryIndex(root) as reborn:
+            assert len(reborn) == len(SUBJECTS)
+        assert built == []
+
+        # The log is still retained: a vanished record is rebuilt from it,
+        # and only that one.
+        (root / "D0" / "subject-1.npz").unlink()
+        with GalleryIndex(root) as healed:
+            assert ("D0", "subject-1") in healed
+        assert built == [tiny_collection.get(1, FINGER, "D0", 0).template]
 
     def test_wal_rebuilds_entire_gallery(self, tmp_path, tiny_collection):
         import shutil

@@ -5,9 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.prefilter import DESCRIPTOR_DIM, descriptor_vector
+from repro.core.prefilter import (
+    DESCRIPTOR_DIM,
+    PrefilterCandidate,
+    descriptor_vector,
+    merge_shard_candidates,
+)
 from repro.matcher.types import template_from_arrays
 from repro.runtime.errors import ConfigurationError
+from repro.runtime.shm import SharedGalleryStore, SharedGalleryView
+from repro.runtime.telemetry import enable_telemetry, get_recorder, set_recorder
 from repro.service.gallery import (
     DEFAULT_MAX_NFIQ_LEVEL,
     EnrollmentRejected,
@@ -15,6 +22,7 @@ from repro.service.gallery import (
     GalleryRecord,
     UnknownIdentityError,
 )
+from repro.service.workers import _WorkerShard
 
 FINGER = "right_index"
 
@@ -132,6 +140,16 @@ class TestLookups:
         assert len(candidates) == 6
         assert "D0/subject-0" in candidates and "D1/subject-0" in candidates
 
+    def test_size_and_lookup_follow_candidates(self, populated):
+        for device in (None, "D0", "D1", "D9"):
+            candidates = populated.candidates(device=device)
+            keys = sorted(candidates)
+            assert populated.size(device) == len(candidates)
+            assert populated.lookup(keys, device) == [candidates[k] for k in keys]
+        populated.delete("subject-1", device="D0")
+        assert populated.size("D0") == 2
+        assert populated.size() == 5
+
     def test_stats_shape(self, populated):
         stats = populated.stats()
         assert stats["enrolled"] == 6
@@ -195,6 +213,42 @@ class TestPersistence:
         assert len(reborn) == 2
         assert ("D0", "subject-0") in reborn
         assert reborn.corrupt_dropped == 1
+
+    def test_reload_opens_each_bundle_once(
+        self, tmp_path, tiny_collection, monkeypatch
+    ):
+        root = tmp_path / "gallery"
+        with GalleryIndex(root) as first:
+            for device in ("D0", "D1"):
+                for sid in range(3):
+                    first.enroll(
+                        f"subject-{sid}",
+                        tiny_collection.get(sid, FINGER, device, 0).template,
+                        device=device,
+                    )
+        (root / "D1" / "subject-2.npz").write_bytes(b"torn mid-write")
+        opened = []
+        real_load = np.load
+
+        def counting_load(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        previous = get_recorder()
+        recorder = enable_telemetry()
+        try:
+            reborn = GalleryIndex(root)
+        finally:
+            set_recorder(previous)
+        assert len(reborn) == 6
+        # Six records and two descriptor matrices, each read once.
+        assert len(opened) == len(set(opened)) == 8
+        counters = recorder.metrics.snapshot()["counters"]
+        assert counters["gallery.hit"] == 5
+        assert counters["gallery.corrupt"] == 1
+        assert counters["gallery.miss"] == 1
+        assert counters["gallery.index.hit"] == 2
 
     def test_corrupt_record_dropped_and_counted_without_wal(
         self, tmp_path, tiny_collection
@@ -285,6 +339,49 @@ class TestDescriptorIndex:
         probe = tiny_collection.get(1, FINGER, "D0", 0).template
         keys = {c.key for c in populated.prefilter(probe, device="D0", k=3)}
         assert keys == {"subject-0", "subject-2"}
+
+    @pytest.mark.parametrize("order", [("dup-b", "dup-a"), ("dup-a", "dup-b")])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_duplicate_templates_shortlist_matches_worker_shards(
+        self, gallery, tiny_collection, order, n_workers
+    ):
+        # Identical descriptors tie at every place; local and pooled
+        # shortlists must both resolve the tie by key, whatever the
+        # insertion order or the shard each duplicate lands on.
+        same = tiny_collection.get(0, FINGER, "D0", 0).template
+        for identity in order:
+            for device in ("D0", "D1"):
+                gallery.enroll(identity, same, device=device)
+        for sid in range(1, 4):
+            gallery.enroll(
+                f"subject-{sid}",
+                tiny_collection.get(sid, FINGER, "D0", 0).template,
+                device="D0",
+            )
+        probe = tiny_collection.get(0, FINGER, "D0", 1).template
+        vector = descriptor_vector(probe)
+        with SharedGalleryStore.pack_gallery(gallery.records()) as store:
+            view = SharedGalleryView.attach(store.handle())
+            try:
+                shards = [_WorkerShard(view, w, n_workers) for w in range(n_workers)]
+                for device in (None, "D0"):
+                    for k in (1, 2, 3, 5, 9):
+                        local = gallery.prefilter(probe, device=device, k=k)
+                        pooled = merge_shard_candidates(
+                            [
+                                [
+                                    PrefilterCandidate(*row)
+                                    for row in shard.prefilter(vector, device, k)[1]
+                                ]
+                                for shard in shards
+                            ],
+                            k,
+                        )
+                        assert pooled == local
+                        prefix = "D0/" if device is None else ""
+                        assert local[0].key == prefix + "dup-a"
+            finally:
+                view.close()
 
     def test_reenroll_replaces_descriptor(self, gallery, tiny_collection):
         first = tiny_collection.get(0, FINGER, "D0", 0).template
