@@ -19,7 +19,8 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,7 +35,12 @@ from ..runtime.supervisor import RetryPolicy
 from ..runtime.progress import ProgressReporter
 from ..runtime.rng import SeedTree
 from ..runtime.shm import SharedTemplateStore, SharedTemplateView, StoreHandle
-from ..runtime.telemetry import enable_telemetry, get_logger, get_recorder
+from ..runtime.telemetry import (
+    TelemetryRecorder,
+    get_logger,
+    get_recorder,
+    set_recorder,
+)
 from ..sensors.protocol import Collection, ProtocolSettings
 from ..datasets.wvu2012 import build_collection
 from ..stats.kendall import KendallResult
@@ -61,24 +67,22 @@ _log = get_logger("study")
 def _init_score_worker(
     source: Union[Collection, StoreHandle],
     matcher_name: str,
-    telemetry_active: bool = False,
 ) -> None:
     """Seed one pool worker's state.
 
     ``source`` is normally a :class:`StoreHandle` — the worker *maps* the
     parent's shared-memory template block instead of receiving a pickled
     copy of the whole collection.  A raw :class:`Collection` still works
-    (tests, and the fallback when shared memory is unavailable).
+    (tests, and the fallback when shared memory is unavailable).  The
+    view's template memo and the matcher's frame memo live as long as
+    the worker, so each worker builds a template or frame at most once
+    per dispatch, whichever scenarios' chunks it runs.
     """
     if isinstance(source, StoreHandle):
         _WORKER_STATE["collection"] = SharedTemplateView.attach(source)
     else:
         _WORKER_STATE["collection"] = source
     _WORKER_STATE["matcher"] = build_matcher(matcher_name)
-    if telemetry_active:
-        # Workers aggregate into a local recorder; the parent merges the
-        # per-chunk snapshots (no cross-process shared state).
-        enable_telemetry()
 
 
 def _run_job_chunk(args: Tuple[Sequence[MatchJob], str, str]) -> ScoreSet:
@@ -91,15 +95,57 @@ def _run_job_chunk(args: Tuple[Sequence[MatchJob], str, str]) -> ScoreSet:
 def _run_job_chunk_with_metrics(
     args: Tuple[Sequence[MatchJob], str, str],
 ) -> Tuple[ScoreSet, dict]:
-    """Worker body used when telemetry is on: chunk result + local metrics.
+    """Worker body used when telemetry is on: chunk result + its metrics.
 
-    The worker's registry is reset before the chunk so every snapshot
-    covers exactly one chunk; the parent folds them together in order.
+    The chunk records into a fresh recorder, so the snapshot covers
+    exactly this chunk whether it runs in a pool worker or in-process
+    (the supervisor's serial fallback, which must leave the parent's
+    recorder in place); the parent merges the snapshots in order.
     """
-    recorder = get_recorder()
-    recorder.metrics.reset()
-    score_set = _run_job_chunk(args)
-    return score_set, recorder.metrics.snapshot()
+    previous = set_recorder(TelemetryRecorder())
+    try:
+        score_set = _run_job_chunk(args)
+        return score_set, get_recorder().metrics.snapshot()
+    finally:
+        set_recorder(previous)
+
+
+#: Below this many jobs in one dispatch (all groups together), a pool
+#: never pays for its start-up and its workers' template rebuilds.
+_MIN_JOBS_FOR_POOL = 256
+
+#: The order :meth:`InteroperabilityStudy.score_sets` runs the Table 2
+#: scenarios in (:data:`~repro.core.scores.SCENARIOS` lists them by
+#: column).
+_SCORE_ORDER = ("DMG", "DDMG", "DMI", "DDMI")
+
+#: One unit of :meth:`InteroperabilityStudy._execute`: ``(label,
+#: scenario, jobs)``.  The label names task keys, checkpoints and
+#: progress; the scenario is the ScoreSet's and the matcher counters'.
+ScoreGroup = Tuple[str, str, Sequence[MatchJob]]
+
+
+@dataclass
+class _ChunkedGroup:
+    """One group's chunk partition and delivery state in a pooled run.
+
+    ``parts`` maps a chunk index to its ScoreSet once resumed from a
+    checkpoint or delivered (``None`` for a batch skipped under
+    ``fail_fast=False``); the group is complete when every chunk has an
+    entry.
+    """
+
+    label: str
+    scenario: str
+    total: int
+    chunks: List[Tuple[List[MatchJob], str, str]]
+    ckpt_prefix: Optional[str] = None
+    parts: Dict[int, Optional[ScoreSet]] = field(default_factory=dict)
+    progress: Optional[ProgressReporter] = None
+
+    def ckpt_key(self, index: int) -> str:
+        """Cache key of chunk ``index``'s checkpoint."""
+        return f"{self.ckpt_prefix}-{index:04d}"
 
 
 @dataclass(frozen=True)
@@ -265,14 +311,19 @@ class InteroperabilityStudy:
         raise ConfigurationError(f"unknown scenario {scenario!r}")
 
     def score_sets(self) -> Dict[str, ScoreSet]:
-        """The four Table 2 score sets (generated or loaded from cache)."""
+        """The four Table 2 score sets (generated or loaded from cache).
+
+        The scenarios share one dispatch (see :meth:`_score_groups`), so
+        a pooled run packs one shared-memory block and starts one pool
+        for all four; each still runs under its own top-level
+        ``scores.<scenario>`` span.
+        """
         if not self._score_sets:
-            recorder = get_recorder()
-            for scenario in ("DMG", "DDMG", "DMI", "DDMI"):
-                with recorder.span(f"scores.{scenario}"):
-                    self._score_sets[scenario] = self._scores_for(
-                        scenario, self._jobs_for(scenario)
-                    )
+            sets = self._score_groups(
+                [(scenario, self._jobs_for(scenario)) for scenario in _SCORE_ORDER],
+                spans=True,
+            )
+            self._score_sets = dict(zip(_SCORE_ORDER, sets))
         return self._score_sets
 
     def cached_score_set(self, scenario: str) -> Optional[ScoreSet]:
@@ -370,47 +421,105 @@ class InteroperabilityStudy:
         return combined.select(np.argsort(positions, kind="stable"))
 
     def _scores_for(self, scenario: str, jobs: Sequence[MatchJob]) -> ScoreSet:
-        """Compute or load one scenario, cached shard-per-device-pair.
+        """Compute or load one scenario (a one-group :meth:`_score_groups`)."""
+        return self._score_groups([(scenario, jobs)])[0]
+
+    def _score_groups(
+        self,
+        groups: Sequence[Tuple[str, Sequence[MatchJob]]],
+        spans: bool = False,
+    ) -> List[ScoreSet]:
+        """Compute or load ``(scenario, jobs)`` groups, cached per device pair.
 
         Sharding makes cache re-entry granular: invalidating (or newly
         needing) one (gallery device, probe device) cell recomputes only
-        that cell's jobs, not the whole scenario.
+        that cell's jobs, not the whole scenario.  Every group resolves
+        its cached shards first; the missing jobs of all groups then go
+        through one :meth:`_execute` dispatch.  Groups finish in order,
+        each as soon as its last chunk arrives.  With ``spans`` each
+        group runs under a top-level ``scores.<scenario>`` span that
+        opens as the previous one closes, so together they cover the
+        whole dispatch.
         """
-        base_scenario = scenario.split("-")[0]
         recorder = get_recorder()
-        shards, missing, pair_indices = self._load_shards(scenario, jobs)
-        if shards:
-            recorder.count("study.scores.shards_cached", len(shards))
-        if not missing:
-            recorder.count("study.scores.cached")
-            _log.info(
-                "score set loaded from cache",
-                extra={"data": {"scenario": scenario, "jobs": len(jobs)}},
-            )
-            return self._assemble_shards(shards, pair_indices, len(jobs))
-        recorder.count("study.scores.computed")
-        recorder.count("study.scores.shards_computed", len(missing))
-        missing_jobs = [
-            jobs[k] for pair in missing for k in pair_indices[pair]
-        ]
-        _log.info(
-            "score set computing",
-            extra={
-                "data": {
-                    "scenario": scenario,
-                    "jobs": len(missing_jobs),
-                    "shards": len(missing),
-                    "shards_cached": len(shards),
-                }
-            },
-        )
-        outcome = self._execute(missing_jobs, base_scenario, label=scenario)
-        computed = outcome.score_set
-        if outcome.complete:
+        resolved = []
+        execute: List[ScoreGroup] = []
+        owners: List[int] = []
+        results: List[ScoreSet] = []
+        outcomes: Dict[int, ExecutionOutcome] = {}
+
+        with ExitStack() as span:
+
+            def enter(g: int) -> None:
+                span.close()
+                if spans and g < len(groups):
+                    span.enter_context(recorder.span(f"scores.{groups[g][0]}"))
+
+            def finish_ready() -> None:
+                while len(results) < len(groups):
+                    g = len(results)
+                    if resolved[g][1] and g not in outcomes:
+                        return
+                    results.append(
+                        self._finish_group(*groups[g], *resolved[g], outcomes.get(g))
+                    )
+                    enter(g + 1)
+
+            def on_outcome(outcome: ExecutionOutcome) -> None:
+                outcomes[owners[len(outcomes)]] = outcome
+                finish_ready()
+
+            enter(0)
+            for g, (scenario, jobs) in enumerate(groups):
+                shards, missing, pair_indices = self._load_shards(scenario, jobs)
+                resolved.append((shards, missing, pair_indices))
+                if shards:
+                    recorder.count("study.scores.shards_cached", len(shards))
+                if not missing:
+                    recorder.count("study.scores.cached")
+                    _log.info(
+                        "score set loaded from cache",
+                        extra={"data": {"scenario": scenario, "jobs": len(jobs)}},
+                    )
+                    continue
+                recorder.count("study.scores.computed")
+                recorder.count("study.scores.shards_computed", len(missing))
+                missing_jobs = [
+                    jobs[k] for pair in missing for k in pair_indices[pair]
+                ]
+                _log.info(
+                    "score set computing",
+                    extra={
+                        "data": {
+                            "scenario": scenario,
+                            "jobs": len(missing_jobs),
+                            "shards": len(missing),
+                            "shards_cached": len(shards),
+                        }
+                    },
+                )
+                execute.append((scenario, scenario.split("-")[0], missing_jobs))
+                owners.append(g)
+            finish_ready()
+            if execute:
+                self._execute(execute, on_outcome=on_outcome)
+        return results
+
+    def _finish_group(
+        self,
+        scenario: str,
+        jobs: Sequence[MatchJob],
+        shards: Dict[Tuple[str, str], ScoreSet],
+        missing: List[Tuple[str, str]],
+        pair_indices: Dict[Tuple[str, str], List[int]],
+        outcome: Optional[ExecutionOutcome],
+    ) -> ScoreSet:
+        """Cache a group's computed shards and assemble its ScoreSet."""
+        if outcome is None or outcome.complete:
             cursor = 0
             for pair in missing:
                 count = len(pair_indices[pair])
-                shard = computed.select(np.arange(cursor, cursor + count))
+                shard = outcome.score_set.select(np.arange(cursor, cursor + count))
                 shards[pair] = shard
                 self._store_cached(
                     shard, self.shard_key(scenario, pair[0], pair[1])
@@ -421,7 +530,7 @@ class InteroperabilityStudy:
         # rows that did complete, but cache none of the affected pair
         # shards — an incomplete shard in the cache would silently
         # shortchange every later run, while recomputing is merely slow.
-        recorder.count("study.jobs.skipped", outcome.skipped)
+        get_recorder().count("study.jobs.skipped", outcome.skipped)
         _log.warning(
             "score set incomplete; skipped jobs dropped, shards not cached",
             extra={
@@ -435,7 +544,7 @@ class InteroperabilityStudy:
         positions = [
             np.asarray(pair_indices[pair], dtype=np.int64) for pair in shards
         ]
-        parts.append(computed)
+        parts.append(outcome.score_set)
         positions.append(missing_global[outcome.positions])
         return ScoreSet.assemble(parts, positions)
 
@@ -461,8 +570,8 @@ class InteroperabilityStudy:
         cached = self._load_cached(base_scenario, cache_key)
         if cached is not None:
             return cached
-        outcome = self._execute(
-            jobs, base_scenario, finger=effective_finger, label=label
+        (outcome,) = self._execute(
+            [(label, base_scenario, jobs)], finger=effective_finger
         )
         if outcome.complete:
             self._store_cached(outcome.score_set, cache_key)
@@ -475,7 +584,7 @@ class InteroperabilityStudy:
         return outcome.score_set
 
     def _checkpoint_prefix(self, label: str, finger: str, n_chunks: int) -> str:
-        """Cache-key prefix of one pooled execution's chunk checkpoints.
+        """Cache-key prefix of one pooled group's chunk checkpoints.
 
         Embeds the config and protocol fingerprints plus the chunk
         partition, so a checkpoint can never be resumed into a run whose
@@ -488,97 +597,121 @@ class InteroperabilityStudy:
 
     def _execute(
         self,
-        jobs: Sequence[MatchJob],
-        scenario: str,
+        groups: Sequence[ScoreGroup],
         finger: Optional[str] = None,
-        label: Optional[str] = None,
-    ) -> ExecutionOutcome:
+        on_outcome: Optional[Callable[[ExecutionOutcome], None]] = None,
+    ) -> List[ExecutionOutcome]:
+        """Run ``(label, scenario, jobs)`` groups in one dispatch.
+
+        With more than one worker and at least :data:`_MIN_JOBS_FOR_POOL`
+        jobs across all groups, the groups share one supervised pool
+        (:meth:`_execute_pooled`); otherwise they run in-process on one
+        matcher.  Either way ``on_outcome`` fires once per group, in
+        group order, as soon as that group is complete.
+        """
         collection = self.collection()
         effective_finger = finger if finger is not None else self.finger
-        progress = self._progress_for(len(jobs), label or scenario)
         workers = resolve_worker_count(self.config.n_workers)
-        if workers > 1 and len(jobs) >= 256:
+        total = sum(len(jobs) for _, _, jobs in groups)
+        if workers > 1 and total >= _MIN_JOBS_FOR_POOL:
             return self._execute_pooled(
-                jobs, scenario, effective_finger, label or scenario,
-                workers, progress,
+                groups, effective_finger, workers, on_outcome
             )
-        score_set = run_jobs_batched(
-            jobs, collection, self.matcher(), effective_finger, scenario,
-            progress=progress,
-        )
-        if progress is not None:
-            progress.finish()
-        return ExecutionOutcome(
-            score_set, np.arange(len(jobs), dtype=np.int64), len(jobs)
-        )
+        outcomes = []
+        for label, scenario, jobs in groups:
+            progress = self._progress_for(len(jobs), label)
+            score_set = run_jobs_batched(
+                jobs, collection, self.matcher(), effective_finger, scenario,
+                progress=progress,
+            )
+            if progress is not None:
+                progress.finish()
+            outcomes.append(ExecutionOutcome(
+                score_set, np.arange(len(jobs), dtype=np.int64), len(jobs)
+            ))
+            if on_outcome is not None:
+                on_outcome(outcomes[-1])
+        return outcomes
 
     def _execute_pooled(
         self,
-        jobs: Sequence[MatchJob],
-        scenario: str,
+        groups: Sequence[ScoreGroup],
         finger: str,
-        task_label: str,
         workers: int,
-        progress: Optional[ProgressReporter],
-    ) -> ExecutionOutcome:
-        """Supervised pooled execution with streaming chunk checkpoints."""
+        on_outcome: Optional[Callable[[ExecutionOutcome], None]],
+    ) -> List[ExecutionOutcome]:
+        """Supervised pooled execution with streaming chunk checkpoints.
+
+        Each group keeps the chunk partition, task keys
+        (``{label}-chunkNNNN``) and checkpoint prefix it would have on
+        its own, but the chunks of every group go through one
+        shared-memory block and one pool, so each worker keeps its
+        template and frame memos across groups.
+        """
         recorder = get_recorder()
-        chunk = max(64, len(jobs) // (workers * 4))
-        bounds = list(range(0, len(jobs), chunk))
-        chunks = [
-            (list(jobs[start : start + chunk]), finger, scenario)
-            for start in bounds
+        runs = [
+            self._chunk_group(label, scenario, jobs, finger, workers)
+            for label, scenario, jobs in groups
         ]
-        task_keys = [f"{task_label}-chunk{i:04d}" for i in range(len(chunks))]
-        ckpt_enabled = self._cache.enabled and len(chunks) > 1
-        ckpt_prefix = self._checkpoint_prefix(task_label, finger, len(chunks))
-        prefilled: Dict[int, ScoreSet] = {}
-        if ckpt_enabled and self._resume:
-            for i, (chunk_jobs, _, _) in enumerate(chunks):
-                cached = self._load_cached(scenario, f"{ckpt_prefix}-{i:04d}")
-                if cached is not None and len(cached) == len(chunk_jobs):
-                    prefilled[i] = cached
-            if prefilled:
-                recorder.count("study.checkpoint.resumed", len(prefilled))
-                _log.info(
-                    "resumed from chunk checkpoints",
-                    extra={
-                        "data": {
-                            "label": task_label,
-                            "resumed": len(prefilled),
-                            "chunks": len(chunks),
-                        }
-                    },
-                )
-                if progress is not None:
-                    progress.update(sum(len(p) for p in prefilled.values()))
-        submitted = [i for i in range(len(chunks)) if i not in prefilled]
+        submitted = [
+            (run, i) for run in runs for i in range(len(run.chunks))
+            if i not in run.parts
+        ]
+        outcomes: List[ExecutionOutcome] = []
+
+        started = -1
+
+        def finish_ready() -> None:
+            # Groups finish in order: on_result delivers chunks in input
+            # order, so the first unfinished group is the one receiving.
+            nonlocal started
+            while len(outcomes) < len(runs):
+                g = len(outcomes)
+                run = runs[g]
+                if started < g:
+                    started = g
+                    run.progress = self._progress_for(run.total, run.label)
+                    if run.progress is not None and run.parts:
+                        run.progress.update(
+                            sum(len(part) for part in run.parts.values())
+                        )
+                if len(run.parts) < len(run.chunks):
+                    return
+                outcomes.append(self._finish_chunks(run))
+                if on_outcome is not None:
+                    on_outcome(outcomes[-1])
+                if run.ckpt_prefix is not None and outcomes[-1].complete:
+                    # The shard/label cache entries now supersede the
+                    # chunk checkpoints; drop them so a later resume never
+                    # reads stale chunks from a superseded partition.
+                    for i in range(len(run.chunks)):
+                        self._cache.invalidate(run.ckpt_key(i))
+
         emitted = 0
 
         def _collect(result) -> None:
             # on_result fires once per submitted batch, in input order
             # (None marks a skip), so ``emitted`` tracks chunk identity.
             nonlocal emitted
-            chunk_idx = submitted[emitted]
+            run, i = submitted[emitted]
             emitted += 1
-            if result is None:
-                return
-            if recorder.active:
-                # Each chunk carries its worker-local metrics; merging
-                # here keeps counters exact without shared state.
-                part, snapshot = result
-                recorder.merge_metrics(snapshot)
-            else:
-                part = result
-            if ckpt_enabled:
-                # Stream the finished chunk to disk: an interrupted run
-                # restarted with resume=True recomputes only the rest.
-                self._store_cached(part, f"{ckpt_prefix}-{chunk_idx:04d}")
-                recorder.count("study.checkpoint.stored")
-            if progress is not None:
-                progress.update(len(part))
+            if result is not None:
+                if recorder.active:
+                    # Each chunk carries its worker-local metrics; merging
+                    # here keeps counters exact without shared state.
+                    result, snapshot = result
+                    recorder.merge_metrics(snapshot)
+                if run.ckpt_prefix is not None:
+                    # Stream the finished chunk to disk: an interrupted run
+                    # restarted with resume=True recomputes only the rest.
+                    self._store_cached(result, run.ckpt_key(i))
+                    recorder.count("study.checkpoint.stored")
+                if run.progress is not None:
+                    run.progress.update(len(result))
+            run.parts[i] = result
+            finish_ready()
 
-        results: List[object] = []
+        finish_ready()
         if submitted:
             store: Optional[SharedTemplateStore] = None
             try:
@@ -589,57 +722,85 @@ class InteroperabilityStudy:
                     source: Union[Collection, StoreHandle] = store.handle()
                 except OSError:  # pragma: no cover - no shm on this platform
                     source = self.collection()
-                worker_func = (
+                parallel_map_batched(
                     _run_job_chunk_with_metrics
                     if recorder.active
-                    else _run_job_chunk
-                )
-                results = parallel_map_batched(
-                    worker_func,
-                    [chunks[i] for i in submitted],
+                    else _run_job_chunk,
+                    [run.chunks[i] for run, i in submitted],
                     n_workers=workers,
                     initializer=_init_score_worker,
-                    initargs=(source, self.config.matcher_name, recorder.active),
+                    initargs=(source, self.config.matcher_name),
                     on_result=_collect,
                     policy=self._retry_policy,
-                    task_keys=[task_keys[i] for i in submitted],
+                    task_keys=[f"{run.label}-chunk{i:04d}" for run, i in submitted],
                     fail_fast=self._fail_fast,
                 )
             finally:
                 if store is not None:
                     store.destroy()
-        if progress is not None:
-            progress.finish()
+        return outcomes
+
+    def _chunk_group(
+        self,
+        label: str,
+        scenario: str,
+        jobs: Sequence[MatchJob],
+        finger: str,
+        workers: int,
+    ) -> _ChunkedGroup:
+        """Partition one group into chunks; with ``resume``, prefill the
+        chunks an interrupted earlier run checkpointed."""
+        chunk = max(64, len(jobs) // (workers * 4))
+        run = _ChunkedGroup(label, scenario, len(jobs), [
+            (list(jobs[start : start + chunk]), finger, scenario)
+            for start in range(0, len(jobs), chunk)
+        ])
+        if self._cache.enabled and len(run.chunks) > 1:
+            run.ckpt_prefix = self._checkpoint_prefix(
+                label, finger, len(run.chunks)
+            )
+        if run.ckpt_prefix is None or not self._resume:
+            return run
+        for i, (chunk_jobs, _, _) in enumerate(run.chunks):
+            cached = self._load_cached(scenario, run.ckpt_key(i))
+            if cached is not None and len(cached) == len(chunk_jobs):
+                run.parts[i] = cached
+        if run.parts:
+            get_recorder().count("study.checkpoint.resumed", len(run.parts))
+            _log.info(
+                "resumed from chunk checkpoints",
+                extra={
+                    "data": {
+                        "label": label,
+                        "resumed": len(run.parts),
+                        "chunks": len(run.chunks),
+                    }
+                },
+            )
+        return run
+
+    def _finish_chunks(self, run: _ChunkedGroup) -> ExecutionOutcome:
+        """Assemble a pooled group's delivered chunks, in job order."""
+        if run.progress is not None:
+            run.progress.finish()
         parts: List[ScoreSet] = []
         positions: List[np.ndarray] = []
-        cursor = 0
-        for i, start in enumerate(bounds):
-            if i in prefilled:
-                part = prefilled[i]
-            else:
-                result = results[cursor]
-                cursor += 1
-                if result is None:  # skipped under fail_fast=False
-                    continue
-                part = result[0] if recorder.active else result
-            parts.append(part)
-            positions.append(
-                np.arange(start, start + len(part), dtype=np.int64)
-            )
+        start = 0
+        for i, (chunk_jobs, _, _) in enumerate(run.chunks):
+            part = run.parts[i]
+            if part is not None:  # None: skipped under fail_fast=False
+                parts.append(part)
+                positions.append(
+                    np.arange(start, start + len(part), dtype=np.int64)
+                )
+            start += len(chunk_jobs)
         if parts:
             score_set = ScoreSet.concatenate(parts)
             done = np.concatenate(positions)
         else:
-            score_set = _empty_score_set(scenario, self.config.matcher_name)
+            score_set = _empty_score_set(run.scenario, self.config.matcher_name)
             done = np.empty(0, dtype=np.int64)
-        outcome = ExecutionOutcome(score_set, done, len(jobs))
-        if ckpt_enabled and outcome.complete:
-            # The shard/label cache entries now supersede the chunk
-            # checkpoints; drop them so a later resume never reads stale
-            # chunks from a superseded partition.
-            for i in range(len(chunks)):
-                self._cache.invalidate(f"{ckpt_prefix}-{i:04d}")
-        return outcome
+        return ExecutionOutcome(score_set, done, run.total)
 
     def _load_cached(self, scenario: str, key: str) -> Optional[ScoreSet]:
         arrays = self._cache.load(key)

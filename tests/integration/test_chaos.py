@@ -47,6 +47,18 @@ def reference(chaos_base):
     return study._scores_for("DDMG", study._jobs_for("DDMG"))
 
 
+@pytest.fixture(scope="module")
+def reference_sets(chaos_base):
+    """All four fault-free score sets (serial, uncached)."""
+    config = StudyConfig(
+        n_subjects=SUBJECTS,
+        n_workers=0,
+        cache_dir=None,
+        artifact_dir=str(chaos_base / "artifacts"),
+    )
+    return InteroperabilityStudy(config).score_sets()
+
+
 @pytest.fixture()
 def recorder():
     previous = get_recorder()
@@ -153,3 +165,85 @@ class TestCheckpointResume:
         out2 = again._scores_for("DDMG", again._jobs_for("DDMG"))
         assert recorder.counter_value("study.scores.cached") == 1
         _assert_identical(out2, reference)
+
+    def test_study_abort_in_last_scenario_resumes_from_its_checkpoints(
+        self, reference_sets, faulty_config, forced_pool, recorder,
+        monkeypatch, tmp_path,
+    ):
+        # All four scenarios share one pool.  A permanent fault in the
+        # second DDMI chunk aborts the study after every earlier chunk
+        # was delivered: DMG, DDMG and DMI finish (shards stored, their
+        # checkpoints dropped) and only DDMI's first chunk is left as a
+        # checkpoint.
+        monkeypatch.setenv(ENV_SPEC, "permanent@DDMI-chunk0001:1")
+        monkeypatch.setenv(ENV_LEDGER, str(tmp_path / "ledger"))
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
+        faulty = InteroperabilityStudy(faulty_config)
+        with pytest.raises(PermanentError, match="injected permanent fault"):
+            faulty.score_sets()
+        cache_dir = tmp_path / "cache"
+        checkpoints = [
+            p.name for p in cache_dir.iterdir() if "-ckpt-" in p.name
+        ]
+        assert checkpoints
+        assert all("-ckpt-DDMI-" in name for name in checkpoints)
+
+        # Resume: exactly the stored checkpoints reload, the three
+        # finished scenarios come from their shards, and every set is
+        # bit-identical to an undisturbed run.
+        monkeypatch.delenv(ENV_SPEC)
+        monkeypatch.delenv(ENV_LEDGER)
+        cached_before = recorder.counter_value("study.scores.cached")
+        resumed = InteroperabilityStudy(faulty_config, resume=True)
+        sets = resumed.score_sets()
+        assert recorder.counter_value("study.checkpoint.resumed") == len(
+            checkpoints
+        )
+        assert recorder.counter_value("study.scores.cached") - cached_before == 3
+        assert list(sets) == list(reference_sets)
+        for scenario, score_set in sets.items():
+            _assert_identical(score_set, reference_sets[scenario])
+        assert not [p for p in cache_dir.iterdir() if "-ckpt-" in p.name]
+
+
+class TestSalvage:
+    def test_skipped_chunk_drops_its_rows_and_only_its_scenario_cache(
+        self, reference_sets, faulty_config, forced_pool, recorder,
+        monkeypatch, tmp_path,
+    ):
+        # fail_fast=False in the shared pool: the failed DDMG chunk is
+        # skipped, DDMG keeps the other rows in job order and caches
+        # nothing, and the other three scenarios are whole and cached.
+        monkeypatch.setenv(ENV_SPEC, "permanent@DDMG-chunk0002:1")
+        monkeypatch.setenv(ENV_LEDGER, str(tmp_path / "ledger"))
+        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0.01")
+        study = InteroperabilityStudy(faulty_config, fail_fast=False)
+        sets = study.score_sets()
+        assert recorder.counter_value("supervisor.skipped") == 1
+        assert recorder.counter_value("study.jobs.skipped") == 64
+
+        expected = reference_sets["DDMG"]
+        row_of = {
+            key: k for k, key in enumerate(zip(
+                expected.subject_gallery, expected.subject_probe,
+                expected.device_gallery, expected.device_probe,
+            ))
+        }
+        got = sets["DDMG"]
+        rows = np.asarray([
+            row_of[key] for key in zip(
+                got.subject_gallery, got.subject_probe,
+                got.device_gallery, got.device_probe,
+            )
+        ])
+        assert len(rows) == len(expected) - 64
+        assert np.all(np.diff(rows) > 0)
+        np.testing.assert_array_equal(got.scores, expected.scores[rows])
+
+        fresh = InteroperabilityStudy(faulty_config)
+        assert fresh.cached_score_set("DDMG") is None
+        for scenario in ("DMG", "DMI", "DDMI"):
+            _assert_identical(sets[scenario], reference_sets[scenario])
+            _assert_identical(
+                fresh.cached_score_set(scenario), reference_sets[scenario]
+            )

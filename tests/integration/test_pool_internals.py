@@ -18,7 +18,12 @@ from repro.core.study import (
     _run_job_chunk_with_metrics,
 )
 from repro.runtime.parallel import parallel_map
-from repro.runtime.telemetry import enable_telemetry, get_recorder, set_recorder
+from repro.runtime.telemetry import (
+    disable_telemetry,
+    enable_telemetry,
+    get_recorder,
+    set_recorder,
+)
 
 
 def _square(x):
@@ -55,7 +60,7 @@ class TestWorkerTelemetry:
         previous = get_recorder()
         try:
             jobs = enumerate_dmg_jobs(4)
-            _init_score_worker(tiny_collection, "bioengine", telemetry_active=True)
+            _init_score_worker(tiny_collection, "bioengine")
             result, snapshot = _run_job_chunk_with_metrics(
                 (jobs, "right_index", "DMG")
             )
@@ -77,13 +82,22 @@ class TestWorkerTelemetry:
     def test_initializer_defaults_to_no_telemetry(
         self, tiny_collection, tiny_config
     ):
+        """Neither the initializer nor the metrics body replaces the
+        process recorder: the chunk records into its own recorder, which
+        is what makes the supervisor's in-process fallback safe."""
         previous = get_recorder()
         try:
+            disable_telemetry()
+            null = get_recorder()
             _init_score_worker(tiny_collection, "bioengine")
+            assert get_recorder() is null
+            jobs = enumerate_dmg_jobs(4)
             result, snapshot = _run_job_chunk_with_metrics(
-                (enumerate_dmg_jobs(4), "right_index", "DMG")
+                (jobs, "right_index", "DMG")
             )
-            assert snapshot["counters"] == {}
+            assert get_recorder() is null
+            assert not null.active
+            assert snapshot["counters"]["matcher.invocations.DMG"] == len(jobs)
             assert result.scores.size > 0
         finally:
             set_recorder(previous)

@@ -42,6 +42,39 @@ class TestMinutia:
         with pytest.raises(MatcherError):
             Minutia(0, 0, 7.0, KIND_ENDING, 50)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_coordinate_rejected(self, bad, axis):
+        coords = {"x": 1.0, "y": 2.0}
+        coords[axis] = bad
+        with pytest.raises(MatcherError, match="finite"):
+            Minutia(angle=0.5, kind=KIND_ENDING, quality=50, **coords)
+        coords[axis] = np.float64(bad)
+        with pytest.raises(MatcherError, match="finite"):
+            Minutia(angle=0.5, kind=KIND_ENDING, quality=50, **coords)
+
+    def test_numpy_scalar_inputs_accepted(self):
+        m = Minutia(
+            np.float64(12.5), np.float64(-3.0), np.float64(6.28),
+            KIND_ENDING, np.int64(100),
+        )
+        assert (m.x, m.y, m.angle, m.quality) == (12.5, -3.0, 6.28, 100)
+
+    @pytest.mark.parametrize("angle", [-1e-12, 2.0 * np.pi + 1e-8, 7.0])
+    def test_angle_bounds(self, angle):
+        with pytest.raises(MatcherError, match="angle"):
+            Minutia(0.0, 0.0, angle, KIND_ENDING, 50)
+        with pytest.raises(MatcherError, match="angle"):
+            Minutia(0.0, 0.0, np.float64(angle), KIND_ENDING, 50)
+
+    def test_angle_tolerance_above_two_pi_accepted(self):
+        assert Minutia(0.0, 0.0, 2.0 * np.pi, KIND_ENDING, 50).angle > 6.28
+
+    @pytest.mark.parametrize("quality", [-1, 101, np.int64(101)])
+    def test_quality_bounds(self, quality):
+        with pytest.raises(MatcherError, match="quality"):
+            Minutia(0.0, 0.0, 0.0, KIND_ENDING, quality)
+
 
 class TestTemplate:
     def test_len(self):
