@@ -104,7 +104,7 @@ def _run_arm(
         with tempfile.TemporaryDirectory() as tmp:
             gallery = GalleryIndex(Path(tmp) / "gallery")
             batching = BatchingConfig(
-                max_batch=512, max_wait_ms=20.0, queue_depth=4096, enabled=enabled
+                max_batch=512, queue_depth=4096, enabled=enabled
             )
             reqlog = (
                 RequestLog(Path(tmp) / "reqlog.jsonl") if with_reqlog else None
@@ -209,9 +209,7 @@ def _worker_arm(collection, matcher, *, workers, subjects, clients, cycles):
     """One worker-count run: identify-only closed loop, both modes."""
     with tempfile.TemporaryDirectory() as tmp:
         gallery = GalleryIndex(Path(tmp) / "gallery")
-        batching = BatchingConfig(
-            max_batch=512, max_wait_ms=5.0, queue_depth=4096
-        )
+        batching = BatchingConfig(max_batch=512, queue_depth=4096)
         server = VerificationServer(
             gallery, matcher=matcher, port=0, batching=batching,
             workers=workers,

@@ -246,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worst NFIQ level accepted at enrollment (1-5)")
     serve.add_argument("--max-batch", type=int, default=None,
                        help="micro-batch size cap (REPRO_SERVE_MAX_BATCH)")
-    serve.add_argument("--max-wait-ms", type=float, default=None,
-                       help="batch coalescing window "
-                            "(REPRO_SERVE_MAX_WAIT_MS)")
     serve.add_argument("--queue-depth", type=int, default=None,
                        help="admission queue bound "
                             "(REPRO_SERVE_QUEUE_DEPTH); overflow answers 503")
@@ -776,8 +773,6 @@ def cmd_serve(args, out) -> int:
     overrides: dict = {}
     if args.max_batch is not None:
         overrides["max_batch"] = args.max_batch
-    if args.max_wait_ms is not None:
-        overrides["max_wait_ms"] = args.max_wait_ms
     if args.queue_depth is not None:
         overrides["queue_depth"] = args.queue_depth
     if args.no_batching:

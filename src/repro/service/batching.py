@@ -5,12 +5,14 @@ per-call overhead across many comparisons; an online server naturally
 receives comparisons one at a time.  :class:`MicroBatcher` closes that
 gap: concurrent in-flight requests enqueue *pair jobs* (one per
 probe/gallery comparison — a verify is one job, a 1:N identify fans out
-into one job per candidate), and a collector coalesces up to
-``max_batch`` jobs — waiting at most ``max_wait_ms`` for stragglers —
-into a single :meth:`~repro.matcher.engine.BioEngineMatcher.score_pairs`
-dispatch on the worker executor.  One executor round-trip then serves a
-whole batch of comparisons, instead of one event-loop/worker handoff
-per comparison.
+into one job per candidate), and a collector dispatches them as soon
+as the matcher is free: it takes up to ``max_batch`` queued jobs into a
+single :meth:`~repro.matcher.engine.BioEngineMatcher.score_pairs` call
+on the worker executor.  Jobs that arrive while a batch runs queue up
+and ride the next dispatch together, so batch size follows load with
+no timer: a lone request on an idle server is dispatched at once, and
+under load one executor round-trip serves a whole batch of comparisons
+instead of one event-loop/worker handoff per comparison.
 
 Overload and deadlines reuse the study's error taxonomy
 (:mod:`repro.runtime.errors`): a full admission queue raises
@@ -76,15 +78,12 @@ class BatchingConfig:
     max_batch:
         Largest number of pair jobs dispatched in one matcher call
         (``REPRO_SERVE_MAX_BATCH``).
-    max_wait_ms:
-        How long the collector holds a non-full batch open for
-        stragglers (``REPRO_SERVE_MAX_WAIT_MS``).  The classic
-        micro-batching trade: higher values grow batches (throughput),
-        lower values shrink queueing delay (latency).
     queue_depth:
         Admission bound on queued pair jobs (``REPRO_SERVE_QUEUE_DEPTH``);
         arrivals beyond it are refused with
-        :class:`ServiceOverloadError`.
+        :class:`ServiceOverloadError`.  A request larger than the
+        bound is admitted only into an empty queue, so it can never be
+        refused forever.
     timeout_s:
         Default per-request deadline (``REPRO_SERVE_TIMEOUT_S``).
     enabled:
@@ -93,7 +92,6 @@ class BatchingConfig:
     """
 
     max_batch: int = 32
-    max_wait_ms: float = 2.0
     queue_depth: int = 256
     timeout_s: float = 30.0
     enabled: bool = True
@@ -101,10 +99,6 @@ class BatchingConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ConfigurationError(
-                f"max_wait_ms cannot be negative, got {self.max_wait_ms}"
-            )
         if self.queue_depth < 1:
             raise ConfigurationError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
@@ -119,9 +113,6 @@ class BatchingConfig:
         max_batch = env_int("REPRO_SERVE_MAX_BATCH")
         if max_batch is not None:
             params["max_batch"] = max_batch
-        max_wait_ms = env_float("REPRO_SERVE_MAX_WAIT_MS")
-        if max_wait_ms is not None:
-            params["max_wait_ms"] = max_wait_ms
         queue_depth = env_int("REPRO_SERVE_QUEUE_DEPTH")
         if queue_depth is not None:
             params["queue_depth"] = queue_depth
@@ -238,7 +229,9 @@ class MicroBatcher:
         they are scored immediately in one private dispatch.  Raises
         :class:`ServiceOverloadError` when the queue cannot admit the
         request and :class:`DeadlineExceededError` when the deadline
-        expires before the matcher answers.
+        expires before the matcher answers.  A request larger than
+        ``queue_depth`` is admitted when the queue is empty — waiting
+        for room could never help it — and refused otherwise.
         """
         loop = asyncio.get_running_loop()
         budget = timeout_s if timeout_s is not None else self._config.timeout_s
@@ -247,7 +240,9 @@ class MicroBatcher:
             return np.empty(0, dtype=np.float64)
         if not self._config.enabled or self._collector is None:
             return await self._score_direct(loop, pair_list, budget)
-        if len(self._queue) + len(pair_list) > self._config.queue_depth:
+        if self._queue and (
+            len(self._queue) + len(pair_list) > self._config.queue_depth
+        ):
             self._stats.record(OVERLOADS)
             raise ServiceOverloadError(
                 f"admission queue full ({len(self._queue)} jobs queued, "
@@ -325,27 +320,13 @@ class MicroBatcher:
                 await self._wake.wait()
             if not self._queue and self._closed:
                 return
-            await self._wait_for_stragglers(loop)
+            # Dispatch on idle: whatever queued while the previous batch
+            # ran goes out together now, up to max_batch.
             batch = [
                 self._queue.popleft()
                 for _ in range(min(len(self._queue), self._config.max_batch))
             ]
             await self._dispatch(loop, batch)
-
-    async def _wait_for_stragglers(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Hold the batch open briefly so concurrent arrivals can join."""
-        if self._config.max_wait_ms <= 0:
-            return
-        window_end = loop.time() + self._config.max_wait_ms / 1000.0
-        while len(self._queue) < self._config.max_batch and not self._closed:
-            remaining = window_end - loop.time()
-            if remaining <= 0:
-                return
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=remaining)
-            except asyncio.TimeoutError:
-                return
 
     async def _dispatch(
         self, loop: asyncio.AbstractEventLoop, batch: List[_Job]

@@ -1119,7 +1119,6 @@ class VerificationServer:
         payload["batching"]["config"] = {
             "enabled": self.batcher.config.enabled,
             "max_batch": self.batcher.config.max_batch,
-            "max_wait_ms": self.batcher.config.max_wait_ms,
             "queue_depth": self.batcher.config.queue_depth,
             "timeout_s": self.batcher.config.timeout_s,
         }

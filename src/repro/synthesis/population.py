@@ -152,8 +152,14 @@ class Population:
             yield self.subject(subject_id)
 
     def demographics_table(self) -> Dict[str, Dict[str, int]]:
-        """Age/ethnicity histogram over the whole population (Figure 1)."""
-        records = tuple(self.subject(i).demographics for i in range(self.n_subjects))
+        """Age/ethnicity histogram over the whole population (Figure 1).
+
+        Reads demographics from their own seed-tree nodes, like
+        :meth:`traits`, so no master finger is synthesized for it.
+        """
+        records = tuple(
+            self._sample_identity(i)[0] for i in range(self.n_subjects)
+        )
         return demographic_histogram(records)
 
 

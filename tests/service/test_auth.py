@@ -61,7 +61,7 @@ def _keyfile(tmp_path, entries=None):
 
 def _server(gallery, matcher, **kwargs):
     kwargs.setdefault("port", 0)
-    kwargs.setdefault("batching", BatchingConfig(max_wait_ms=5.0))
+    kwargs.setdefault("batching", BatchingConfig())
     return VerificationServer(gallery, matcher=matcher, **kwargs)
 
 

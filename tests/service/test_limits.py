@@ -314,7 +314,7 @@ def limited_service(tmp_path, tiny_collection, matcher):
         gallery,
         matcher=matcher,
         port=0,
-        batching=BatchingConfig(max_wait_ms=5.0),
+        batching=BatchingConfig(),
         limits=limiter,
     )
     with ServiceRunner(server) as (host, port):
@@ -388,7 +388,7 @@ def test_transparent_retry_succeeds_with_fast_refill(
         gallery,
         matcher=matcher,
         port=0,
-        batching=BatchingConfig(max_wait_ms=5.0),
+        batching=BatchingConfig(),
         limits=limiter,
     )
     probe = tiny_collection.get(0, FINGER, "D0", 1).template

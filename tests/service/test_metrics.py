@@ -151,7 +151,7 @@ class TestDeclaredFamilies:
             GalleryIndex(tmp_path / "gallery"),
             matcher=matcher,
             port=0,
-            batching=BatchingConfig(max_wait_ms=5.0),
+            batching=BatchingConfig(),
             auth=ApiKeyAuthenticator(tmp_path / "keys.json"),
             workers=2,
         )

@@ -9,6 +9,7 @@ import base64
 import concurrent.futures
 import json
 import socket
+import time
 
 import pytest
 
@@ -26,13 +27,50 @@ from repro.service import (
     sample_value,
 )
 
+from .test_batching import GatedMatcher
+
 FINGER = "right_index"
 SUBJECTS = (0, 1, 2)
 
 
+def _wait_for_queue(server, jobs):
+    deadline = time.monotonic() + 10
+    while server.batcher.queue_depth < jobs:
+        assert time.monotonic() < deadline, "jobs never queued"
+        time.sleep(0.001)
+
+
+def _refused_behind_a_backlog(server, gated, client, probe):
+    """``client``'s identify error while one held and one queued verify wait.
+
+    With ``queue_depth=1`` the queued verify fills the queue, so any
+    multi-pair request is refused rather than admitted alone.
+    """
+    host, port = client._host, client._port
+
+    def one_verify(_):
+        with ServiceClient(host, port) as other:
+            return other.verify("subject-0", probe, device="D0")
+
+    gated.release.clear()
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        try:
+            held = pool.submit(one_verify, 0)
+            assert gated.entered.wait(10)
+            queued = pool.submit(one_verify, 1)
+            _wait_for_queue(server, 1)
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.identify(probe, device="D0")
+        finally:
+            gated.release.set()
+        assert held.result()["decision"] == "accept"
+        assert queued.result()["decision"] == "accept"
+    return excinfo.value
+
+
 def _server(gallery, matcher, **kwargs):
     kwargs.setdefault("port", 0)
-    kwargs.setdefault("batching", BatchingConfig(max_wait_ms=5.0))
+    kwargs.setdefault("batching", BatchingConfig())
     return VerificationServer(gallery, matcher=matcher, **kwargs)
 
 
@@ -206,10 +244,11 @@ class TestOverload:
         self, tmp_path, tiny_collection, matcher
     ):
         gallery = GalleryIndex(tmp_path / "gallery")
+        gated = GatedMatcher(matcher)
         server = _server(
-            gallery, matcher,
-            batching=BatchingConfig(queue_depth=1, max_wait_ms=0.0),
+            gallery, gated, batching=BatchingConfig(queue_depth=1)
         )
+        probe = tiny_collection.get(0, FINGER, "D0", 1).template
         with ServiceRunner(server) as (host, port):
             with ServiceClient(host, port) as client:
                 for sid in SUBJECTS:
@@ -218,17 +257,42 @@ class TestOverload:
                         tiny_collection.get(sid, FINGER, "D0", 0).template,
                         device="D0",
                     )
-                # 3 candidates -> 3 pair jobs > queue_depth=1: refused.
-                with pytest.raises(ServiceClientError) as excinfo:
-                    client.identify(
-                        tiny_collection.get(0, FINGER, "D0", 1).template,
-                        device="D0",
-                    )
-                assert excinfo.value.status == 503
-                assert excinfo.value.retryable
+                # 3 candidates -> 3 pair jobs > queue_depth=1 while a
+                # job is queued: refused.
+                error = _refused_behind_a_backlog(server, gated, client, probe)
+                assert error.status == 503
+                assert error.retryable
                 assert client.last_headers.get("retry-after") == "1"
                 assert client.last_headers.get("x-request-id")
                 assert client.stats()["overloads"] >= 1
+                # Once the backlog drains, the same request is admitted.
+                hits = client.identify(probe, device="D0")
+                assert hits["candidates"][0]["identity"] == "subject-0"
+
+    def test_identify_larger_than_queue_depth_is_admitted_when_idle(
+        self, tmp_path, tiny_collection, matcher
+    ):
+        # 300 entries > the default queue_depth of 256: an exact search
+        # must still run on an idle server instead of a 503 no retry
+        # could ever fix.
+        gallery = GalleryIndex(tmp_path / "gallery")
+        for sid in range(10):
+            for device in ("D0", "D1"):
+                template = tiny_collection.get(sid, FINGER, device, 0).template
+                for copy in range(15):
+                    gallery.enroll(f"subject-{sid}-{copy}", template, device)
+        assert BatchingConfig().queue_depth < 300
+        with ServiceRunner(_server(gallery, matcher)) as (host, port):
+            with ServiceClient(host, port) as client:
+                hits = client.identify(
+                    tiny_collection.get(0, FINGER, "D0", 1).template,
+                    device=None, mode="exact",
+                )
+                stats = client.stats()
+        assert hits["search"]["gallery_size"] == 300
+        assert hits["search"]["candidates_scored"] == 300
+        assert hits["candidates"][0]["identity"].startswith("subject-0-")
+        assert stats["overloads"] == 0
 
 
 class TestMetricsEndpoint:
@@ -316,9 +380,8 @@ class TestConcurrency:
         self, tmp_path, tiny_collection, matcher
     ):
         gallery = GalleryIndex(tmp_path / "gallery")
-        server = _server(
-            gallery, matcher, batching=BatchingConfig(max_wait_ms=20.0)
-        )
+        gated = GatedMatcher(matcher)
+        server = _server(gallery, gated)
         with ServiceRunner(server) as (host, port):
             with ServiceClient(host, port) as setup:
                 for sid in SUBJECTS:
@@ -338,15 +401,25 @@ class TestConcurrency:
                         device="D0",
                     )
 
+            # Hold the first batch on the matcher: the other clients'
+            # verifies queue behind it and must go out as one dispatch
+            # once it is released.
+            gated.release.clear()
             with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-                replies = list(pool.map(one_verify, range(16)))
+                try:
+                    replies = pool.map(one_verify, range(16))
+                    assert gated.entered.wait(10)
+                    _wait_for_queue(server, 8 - gated.held)
+                finally:
+                    gated.release.set()
+                replies = list(replies)
             assert all(r["decision"] == "accept" for r in replies)
 
             with ServiceClient(host, port) as client:
                 stats = client.stats()
         assert stats["requests"]["verify"] == 16
         # Concurrent single-pair requests must have shared batches.
-        assert stats["batching"]["max_size"] >= 2
+        assert stats["batching"]["max_size"] >= 4
         assert stats["batching"]["batches"] < 16 + len(SUBJECTS)
 
 
@@ -450,10 +523,11 @@ class TestErrorEnvelope:
         self, tmp_path, tiny_collection, matcher
     ):
         gallery = GalleryIndex(tmp_path / "gallery")
+        gated = GatedMatcher(matcher)
         server = _server(
-            gallery, matcher,
-            batching=BatchingConfig(queue_depth=1, max_wait_ms=0.0),
+            gallery, gated, batching=BatchingConfig(queue_depth=1)
         )
+        probe = tiny_collection.get(0, FINGER, "D0", 1).template
         with ServiceRunner(server) as (host, port):
             with ServiceClient(host, port) as client:
                 for sid in SUBJECTS:
@@ -462,13 +536,9 @@ class TestErrorEnvelope:
                         tiny_collection.get(sid, FINGER, "D0", 0).template,
                         device="D0",
                     )
-                with pytest.raises(ServiceClientError) as excinfo:
-                    client.identify(
-                        tiny_collection.get(0, FINGER, "D0", 1).template,
-                        device="D0",
-                    )
-        self._assert_envelope(excinfo.value, 503, "overloaded")
-        assert excinfo.value.retryable
+                error = _refused_behind_a_backlog(server, gated, client, probe)
+        self._assert_envelope(error, 503, "overloaded")
+        assert error.retryable
 
     def test_legacy_errors_carry_the_same_envelope(self, live):
         legacy = ServiceClient(live._host, live._port, api_base="")

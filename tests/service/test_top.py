@@ -111,7 +111,7 @@ class TestLiveSession:
             GalleryIndex(tmp_path / "gallery"),
             matcher=matcher,
             port=0,
-            batching=BatchingConfig(max_wait_ms=5.0),
+            batching=BatchingConfig(),
         )
         with ServiceRunner(server) as (host, port):
             with ServiceClient(host, port) as client:
@@ -139,7 +139,7 @@ class TestLiveSession:
             GalleryIndex(tmp_path / "gallery"),
             matcher=matcher,
             port=0,
-            batching=BatchingConfig(max_wait_ms=5.0),
+            batching=BatchingConfig(),
         )
         with ServiceRunner(server) as (host, port):
             with ServiceClient(host, port) as client:

@@ -44,7 +44,7 @@ def observed(tmp_path, tiny_collection, matcher):
         GalleryIndex(tmp_path / "gallery"),
         matcher=matcher,
         port=0,
-        batching=BatchingConfig(max_wait_ms=5.0),
+        batching=BatchingConfig(),
         reqlog=RequestLog(reqlog_path),
     )
     with ServiceRunner(server) as (host, port):
@@ -173,7 +173,7 @@ class TestTracingDisabled:
             GalleryIndex(tmp_path / "gallery"),
             matcher=matcher,
             port=0,
-            batching=BatchingConfig(max_wait_ms=5.0),
+            batching=BatchingConfig(),
             reqlog=RequestLog(reqlog_path),
             tracing=False,
         )
@@ -219,7 +219,7 @@ class TestSlowRequests:
             GalleryIndex(tmp_path / "gallery"),
             matcher=matcher,
             port=0,
-            batching=BatchingConfig(max_wait_ms=5.0),
+            batching=BatchingConfig(),
             reqlog=RequestLog(reqlog_path),
             slow_ms=0.0,
         )

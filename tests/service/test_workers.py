@@ -33,7 +33,7 @@ D1_SUBJECTS = (0, 1, 2)
 
 def _server(gallery, matcher, **kwargs):
     kwargs.setdefault("port", 0)
-    kwargs.setdefault("batching", BatchingConfig(max_wait_ms=5.0))
+    kwargs.setdefault("batching", BatchingConfig())
     return VerificationServer(gallery, matcher=matcher, **kwargs)
 
 

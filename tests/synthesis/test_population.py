@@ -4,6 +4,8 @@ import pytest
 
 from repro.runtime import StudyConfig
 from repro.synthesis import FINGER_LABELS, Population
+from repro.synthesis import population as population_module
+from repro.synthesis.subject import demographic_histogram
 
 
 class TestAccess:
@@ -62,3 +64,19 @@ class TestDemographicsTable:
         table = tiny_population.demographics_table()
         assert sum(table["age"].values()) == len(tiny_population)
         assert sum(table["ethnicity"].values()) == len(tiny_population)
+
+    def test_table_matches_synthesized_subjects_without_fingers(
+        self, monkeypatch
+    ):
+        config = StudyConfig(n_subjects=48)
+        via_subjects = demographic_histogram(
+            [subject.demographics for subject in Population(config)]
+        )
+
+        def no_fingers(_rng):
+            raise AssertionError("demographics_table synthesized a finger")
+
+        monkeypatch.setattr(
+            population_module, "synthesize_master_finger", no_fingers
+        )
+        assert Population(config).demographics_table() == via_subjects
