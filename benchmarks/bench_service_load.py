@@ -24,18 +24,17 @@ bit-identical results; the record carries throughput, client-observed
 latency percentiles, the server's batch-size distribution, and the
 matcher's collapse/invocation counters so the speedup is attributable.
 
-A final sweep measures the observability stack itself: the same
-batched workload with request tracing + the JSONL request log enabled
-versus ``tracing=False`` and no log.  The tracing arm must stay within
-the 3% throughput-overhead budget; the record reports the measured
-overhead against it (best-of ``--repeats`` per arm to damp scheduler
-noise).
-
-The admission-control sweep does the same for the hardening layer:
-keyed auth (constant-time lookup on every request) plus a live rate
-limiter (generous enough to never refuse, so the arm measures the
-bucket machinery rather than throttling) versus the open server.
-Same 3% budget, same best-of-repeats protocol.
+Two overhead sweeps then price a feature against the same batched
+workload without it: request tracing + the JSONL request log versus
+``tracing=False`` and no log, and keyed auth (constant-time lookup on
+every request) plus a live rate limiter (generous enough to never
+refuse, so the arm measures the bucket machinery rather than
+throttling) versus the open server.  Each runs its off and on arms
+alternately ``--repeats`` times and reports each arm's median and IQR
+throughput and the overhead of the medians against a 3% budget.  The
+verdict (``within_budget``) is true or false only when the gap between
+the medians is larger than both arms' IQRs; otherwise, and always
+below 3 repeats, it is null and printed as "unresolved".
 
 The worker-count sweep (``--worker-counts``, default ``1,2,4``)
 measures horizontal sharding: an identify-only closed loop served by 1
@@ -342,64 +341,56 @@ def _worker_sweep(collection, matcher, *, clients, cycles, counts, repeats):
     }
 
 
-TRACING_BUDGET_PCT = 3.0
+#: Throughput-overhead budget of each priced feature, in percent.
+OVERHEAD_BUDGET_PCT = 3.0
 
 
-def _tracing_overhead(collection, matcher, *, clients, cycles, hot, repeats):
-    """Tracing+reqlog vs tracing-off on the batched workload, best-of runs."""
-    arms = {}
-    for mode, tracing, with_reqlog in (
-        ("tracing_off", False, False),
-        ("tracing_on", True, True),
-    ):
-        runs = [
-            _run_arm(
+def _overhead(collection, matcher, *, feature, on_kwargs, clients, cycles,
+              hot, repeats):
+    """Price one feature: its off and on arms, alternately, ``repeats`` times.
+
+    The side that runs first alternates between rounds, so drift in
+    host speed lands on both arms.  ``within_budget`` is ``None`` unless
+    the gap between the two median throughputs is larger than both
+    arms' IQRs (never with fewer than 3 repeats, where an IQR means
+    nothing).
+    """
+    runs = {"off": [], "on": []}
+    for round_index in range(repeats):
+        order = ("off", "on") if round_index % 2 == 0 else ("on", "off")
+        for side in order:
+            runs[side].append(_run_arm(
                 collection, matcher, enabled=True, clients=clients,
-                cycles=cycles, hot=hot, tracing=tracing,
-                with_reqlog=with_reqlog,
-            )
-            for _ in range(repeats)
-        ]
-        arms[mode] = max(runs, key=lambda r: r["throughput_rps"])
-    off_rps = arms["tracing_off"]["throughput_rps"]
-    on_rps = arms["tracing_on"]["throughput_rps"]
+                cycles=cycles, hot=hot,
+                **(on_kwargs if side == "on" else {}),
+            ))
+    stats = {
+        side: _median_iqr([r["throughput_rps"] for r in side_runs])
+        for side, side_runs in runs.items()
+    }
+    off_rps, on_rps = stats["off"]["median"], stats["on"]["median"]
     overhead_pct = round(100.0 * (1.0 - on_rps / off_rps), 2)
+    resolved = repeats >= 3 and all(
+        abs(off_rps - on_rps) > q3 - q1
+        for q1, q3 in (stats[side]["iqr"] for side in stats)
+    )
     return {
         "hot_identities": hot,
         "repeats_per_arm": repeats,
+        "throughput_rps": {
+            f"{feature}_{side}": stats[side] for side in stats
+        },
         "overhead_pct": overhead_pct,
-        "budget_pct": TRACING_BUDGET_PCT,
-        "within_budget": overhead_pct <= TRACING_BUDGET_PCT,
-        **arms,
+        "budget_pct": OVERHEAD_BUDGET_PCT,
+        "within_budget": (
+            overhead_pct <= OVERHEAD_BUDGET_PCT if resolved else None
+        ),
+        **{f"{feature}_{side}": side_runs for side, side_runs in runs.items()},
     }
 
 
-AUTH_BUDGET_PCT = 3.0
-
-
-def _auth_overhead(collection, matcher, *, clients, cycles, hot, repeats):
-    """Auth+limits vs the open server on the batched workload, best-of."""
-    arms = {}
-    for mode, with_auth in (("auth_off", False), ("auth_on", True)):
-        runs = [
-            _run_arm(
-                collection, matcher, enabled=True, clients=clients,
-                cycles=cycles, hot=hot, with_auth=with_auth,
-            )
-            for _ in range(repeats)
-        ]
-        arms[mode] = max(runs, key=lambda r: r["throughput_rps"])
-    off_rps = arms["auth_off"]["throughput_rps"]
-    on_rps = arms["auth_on"]["throughput_rps"]
-    overhead_pct = round(100.0 * (1.0 - on_rps / off_rps), 2)
-    return {
-        "hot_identities": hot,
-        "repeats_per_arm": repeats,
-        "overhead_pct": overhead_pct,
-        "budget_pct": AUTH_BUDGET_PCT,
-        "within_budget": overhead_pct <= AUTH_BUDGET_PCT,
-        **arms,
-    }
+#: How ``within_budget`` prints.
+VERDICTS = {None: "unresolved", True: "within budget", False: "OVER budget"}
 
 
 def main() -> None:
@@ -407,9 +398,10 @@ def main() -> None:
     parser.add_argument("--clients", type=int, default=16)
     parser.add_argument("--cycles", type=int, default=4)
     parser.add_argument(
-        "--repeats", type=int, default=2,
-        help="runs per tracing/auth-overhead arm (best-of damps noise) "
-             "and per worker count in the worker sweep (median + IQR)",
+        "--repeats", type=int, default=5,
+        help="runs per tracing/auth-overhead arm and per worker count "
+             "in the worker sweep (median + IQR; overhead verdicts "
+             "need at least 3)",
     )
     parser.add_argument(
         "--hot",
@@ -461,25 +453,21 @@ def main() -> None:
         counts=args.worker_counts, repeats=args.repeats,
     )
 
-    tracing = _tracing_overhead(
-        collection, matcher, clients=args.clients, cycles=args.cycles,
-        hot=args.hot[0], repeats=args.repeats,
-    )
-    print(
-        f"tracing overhead: {tracing['overhead_pct']}% "
-        f"(budget {TRACING_BUDGET_PCT}%, "
-        f"{'within' if tracing['within_budget'] else 'OVER'} budget)"
-    )
-
-    auth = _auth_overhead(
-        collection, matcher, clients=args.clients, cycles=args.cycles,
-        hot=args.hot[0], repeats=args.repeats,
-    )
-    print(
-        f"auth+limits overhead: {auth['overhead_pct']}% "
-        f"(budget {AUTH_BUDGET_PCT}%, "
-        f"{'within' if auth['within_budget'] else 'OVER'} budget)"
-    )
+    overheads = {}
+    for feature, label, on_kwargs in (
+        ("tracing", "tracing", {"tracing": True, "with_reqlog": True}),
+        ("auth", "auth+limits", {"with_auth": True}),
+    ):
+        overheads[feature] = _overhead(
+            collection, matcher, feature=feature, on_kwargs=on_kwargs,
+            clients=args.clients, cycles=args.cycles, hot=args.hot[0],
+            repeats=args.repeats,
+        )
+        print(
+            f"{label} overhead: {overheads[feature]['overhead_pct']}% "
+            f"(budget {OVERHEAD_BUDGET_PCT}%, "
+            f"{VERDICTS[overheads[feature]['within_budget']]})"
+        )
 
     record = {
         "label": args.label,
@@ -494,8 +482,8 @@ def main() -> None:
         "headline_speedup": sweep[0]["speedup"],
         "sweep": sweep,
         "worker_sweep": worker_sweep,
-        "tracing_overhead": tracing,
-        "auth_overhead": auth,
+        "tracing_overhead": overheads["tracing"],
+        "auth_overhead": overheads["auth"],
     }
     OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     out_path = OUTPUT_DIR / args.out

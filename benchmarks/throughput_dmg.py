@@ -22,13 +22,13 @@ from pathlib import Path
 
 from _bench_common import OUTPUT_DIR
 from repro.api import BioEngineMatcher, StudyConfig, build_collection
-from repro.core.scores import enumerate_dmg_jobs, run_jobs_batched
+from repro.core.scores import enumerate_dmg_jobs, run_jobs
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--subjects", type=int, default=80)
-    parser.add_argument("--label", default="batched run_jobs_batched, sequential")
+    parser.add_argument("--label", default="run_jobs, sequential")
     parser.add_argument("--out", default="dmg_throughput.json")
     parser.add_argument(
         "--repeats",
@@ -49,7 +49,7 @@ def main() -> None:
     mean_score = None
     for _ in range(args.repeats):
         start = time.perf_counter()
-        scores = run_jobs_batched(jobs, collection, matcher, "right_index", "DMG")
+        scores = run_jobs(jobs, collection, matcher, "right_index", "DMG")
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
         mean_score = float(scores.scores.mean())

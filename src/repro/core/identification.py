@@ -63,31 +63,21 @@ def rank_candidates(
 ) -> List[Candidate]:
     """Score ``probe`` against every gallery template, best first.
 
-    Rides the matcher's batched 1:N path
-    (:meth:`~repro.matcher.engine.BioEngineMatcher.match_one_to_many`)
-    when the engine exposes one — the probe's frame is computed once for
-    the whole candidate list — and falls back to the scalar per-candidate
-    loop for matchers that only implement ``match``.  Both paths produce
-    identical rankings (:func:`rank_candidates_scalar` is the parity
-    oracle).  Ties are broken by identity, ascending, so all-tied scores
-    still yield a deterministic order; an empty gallery returns an empty
-    candidate list.
+    All candidates go through one ``matcher.score_pairs`` call, whose
+    scores are bit-identical to a scalar ``match`` loop
+    (:func:`rank_candidates_scalar` is the parity oracle).  Ties are
+    broken by identity, ascending, so all-tied scores still yield a
+    deterministic order; an empty gallery returns an empty candidate
+    list.
     """
-    if not gallery:
-        return []
     identities = list(gallery)
-    batched = getattr(matcher, "match_one_to_many", None)
-    if batched is not None:
-        scores = batched(probe, [gallery[identity] for identity in identities])
-        scored = [
-            Candidate(identity=identity, score=float(score))
-            for identity, score in zip(identities, scores)
-        ]
-    else:
-        scored = [
-            Candidate(identity=identity, score=matcher.match(probe, gallery[identity]))
-            for identity in identities
-        ]
+    scores = matcher.score_pairs(
+        [(probe, gallery[identity]) for identity in identities]
+    )
+    scored = [
+        Candidate(identity=identity, score=float(score))
+        for identity, score in zip(identities, scores)
+    ]
     scored.sort(key=lambda c: (-c.score, c.identity))
     return scored[:max_candidates] if max_candidates else scored
 
@@ -100,10 +90,10 @@ def rank_candidates_scalar(
 ) -> List[Candidate]:
     """Reference 1:N ranking via one scalar ``match`` call per candidate.
 
-    The parity oracle for :func:`rank_candidates`: the batched path must
+    The parity oracle for :func:`rank_candidates`, which must
     reproduce this ordering (and these scores) exactly.  Kept as a public
     function so the parity tests — and any matcher author validating a
-    new batched kernel — can compare against it directly.
+    new ``score_pairs`` — can compare against it directly.
     """
     if not gallery:
         return []

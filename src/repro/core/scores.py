@@ -313,12 +313,13 @@ def run_jobs(
 ) -> ScoreSet:
     """Execute match jobs against a collection and assemble a ScoreSet.
 
-    ``progress`` (optional) is updated once per job — pass a throttled
-    :class:`~repro.runtime.progress.ProgressReporter` to surface
-    per-scenario progress in long runs.
+    The jobs' (probe, gallery) pairs are scored in job order by one
+    ``matcher.score_pairs`` call, so row ``k`` of the result is job
+    ``k``.  ``progress`` (optional) advances by the job count once the
+    call returns.
     """
     n = len(jobs)
-    scores = np.empty(n, dtype=np.float64)
+    pairs = []
     subj_g = np.empty(n, dtype=np.int64)
     subj_p = np.empty(n, dtype=np.int64)
     dev_g = np.empty(n, dtype="<U2")
@@ -328,103 +329,16 @@ def run_jobs(
     for k, (sg, dg, setg, sp, dp, setp) in enumerate(jobs):
         gallery = collection.get(sg, finger, dg, setg)
         probe = collection.get(sp, finger, dp, setp)
-        scores[k] = matcher.match(probe.template, gallery.template)
+        pairs.append((probe.template, gallery.template))
         subj_g[k] = sg
         subj_p[k] = sp
         dev_g[k] = dg
         dev_p[k] = dp
         nfiq_g[k] = gallery.nfiq
         nfiq_p[k] = probe.nfiq
-        if progress is not None:
-            progress.update()
-    recorder = get_recorder()
-    if recorder.active:
-        recorder.count(f"matcher.invocations.{scenario}", n)
-    return ScoreSet(
-        scenario=scenario,
-        matcher_name=getattr(matcher, "name", type(matcher).__name__),
-        scores=scores,
-        subject_gallery=subj_g,
-        subject_probe=subj_p,
-        device_gallery=dev_g,
-        device_probe=dev_p,
-        nfiq_gallery=nfiq_g,
-        nfiq_probe=nfiq_p,
-    )
-
-
-#: A gallery identity: (subject, device, set) — one template per key.
-GalleryKey = Tuple[int, str, int]
-
-
-def group_jobs_gallery_major(
-    jobs: Sequence[MatchJob],
-) -> List[Tuple[GalleryKey, List[int]]]:
-    """Group job indices by the gallery template they compare against.
-
-    Returns ``[(gallery_key, [job_index, ...]), ...]`` in order of first
-    appearance, so regrouped execution stays deterministic and per-batch
-    results can be scattered back into the original job order.
-    """
-    groups: Dict[GalleryKey, List[int]] = {}
-    for k, job in enumerate(jobs):
-        groups.setdefault((job[0], job[1], job[2]), []).append(k)
-    return list(groups.items())
-
-
-def run_jobs_batched(
-    jobs: Sequence[MatchJob],
-    collection,
-    matcher,
-    finger: str,
-    scenario: str,
-    progress: Optional[ProgressReporter] = None,
-) -> ScoreSet:
-    """Batched :func:`run_jobs`: gallery-major regrouping + ``match_many``.
-
-    Jobs are regrouped so every probe facing the same gallery template is
-    scored in a single ``matcher.match_many`` call, which pays for the
-    gallery's descriptors and alignment frames once per batch.  Scores
-    are scattered back into the original job order, so the returned
-    :class:`ScoreSet` is row-for-row identical — provenance *and* score
-    values — to what :func:`run_jobs` produces (the scalar path is the
-    parity oracle).  Matchers without ``match_many`` fall back to the
-    scalar call per job.
-    """
-    n = len(jobs)
-    scores = np.empty(n, dtype=np.float64)
-    subj_g = np.empty(n, dtype=np.int64)
-    subj_p = np.empty(n, dtype=np.int64)
-    dev_g = np.empty(n, dtype="<U2")
-    dev_p = np.empty(n, dtype="<U2")
-    nfiq_g = np.empty(n, dtype=np.int64)
-    nfiq_p = np.empty(n, dtype=np.int64)
-    match_many = getattr(matcher, "match_many", None)
-    for (sg, dg, setg), indices in group_jobs_gallery_major(jobs):
-        gallery = collection.get(sg, finger, dg, setg)
-        probes = [
-            collection.get(jobs[k][3], finger, jobs[k][4], jobs[k][5])
-            for k in indices
-        ]
-        if match_many is not None:
-            batch = match_many(
-                [impression.template for impression in probes], gallery.template
-            )
-        else:
-            batch = [
-                matcher.match(impression.template, gallery.template)
-                for impression in probes
-            ]
-        for pos, k in enumerate(indices):
-            scores[k] = batch[pos]
-            subj_g[k] = sg
-            subj_p[k] = jobs[k][3]
-            dev_g[k] = dg
-            dev_p[k] = jobs[k][4]
-            nfiq_g[k] = gallery.nfiq
-            nfiq_p[k] = probes[pos].nfiq
-        if progress is not None:
-            progress.update(len(indices))
+    scores = np.asarray(matcher.score_pairs(pairs), dtype=np.float64)
+    if progress is not None:
+        progress.update(n)
     recorder = get_recorder()
     if recorder.active:
         recorder.count(f"matcher.invocations.{scenario}", n)
@@ -445,7 +359,6 @@ __all__ = [
     "ScoreSet",
     "SCENARIOS",
     "MatchJob",
-    "GalleryKey",
     "GALLERY_SET",
     "PROBE_SET",
     "probe_set_for",
@@ -455,6 +368,4 @@ __all__ = [
     "sample_ddmi_jobs",
     "expected_counts",
     "run_jobs",
-    "run_jobs_batched",
-    "group_jobs_gallery_major",
 ]

@@ -51,7 +51,7 @@ from .scores import (
     enumerate_ddmg_jobs,
     enumerate_dmg_jobs,
     probe_set_for,
-    run_jobs_batched,
+    run_jobs,
     sample_ddmi_jobs,
     sample_dmi_jobs,
 )
@@ -87,7 +87,7 @@ def _init_score_worker(
 
 def _run_job_chunk(args: Tuple[Sequence[MatchJob], str, str]) -> ScoreSet:
     jobs, finger, scenario = args
-    return run_jobs_batched(
+    return run_jobs(
         jobs, _WORKER_STATE["collection"], _WORKER_STATE["matcher"], finger, scenario
     )
 
@@ -620,7 +620,7 @@ class InteroperabilityStudy:
         outcomes = []
         for label, scenario, jobs in groups:
             progress = self._progress_for(len(jobs), label)
-            score_set = run_jobs_batched(
+            score_set = run_jobs(
                 jobs, collection, self.matcher(), effective_finger, scenario,
                 progress=progress,
             )

@@ -3,8 +3,8 @@
 :class:`BioEngineMatcher` chains the pipeline stages (descriptors →
 consensus alignment → tolerance-box pairing → calibrated score) behind
 the interface a commercial SDK exposes: ``match`` for a bare score,
-``match_detailed`` for diagnostics, and ``match_many`` for batched
-verification of many probes against one gallery template.
+``match_detailed`` for diagnostics, and ``score_pairs`` for a batch of
+(probe, gallery) pairs.
 
 Per-template work (mm-space positions, directions, qualities and the
 neighbourhood descriptors) is memoized as a :class:`TemplateFrame`,
@@ -117,149 +117,45 @@ class BioEngineMatcher:
         return self.match_detailed(probe, gallery).score
 
     def score_pairs(self, pairs: Sequence[Tuple[Template, Template]]) -> np.ndarray:
-        """Scores of arbitrary (probe, gallery) pairs, batch-grouped.
+        """Scores of (probe, gallery) pairs, in input order.
 
-        The micro-batching entry point of the online serving layer: a
-        batch of in-flight comparisons is regrouped so that pairs sharing
-        a gallery template ride :meth:`match_many` and pairs sharing a
-        probe template ride :meth:`match_one_to_many`; stragglers fall
-        back to the scalar kernel.  Result order matches input order, and
-        every path reduces to ``_match_frames`` on the same memoized
-        frames, so scores are bit-identical to a scalar loop.
+        The matcher's one batch entry point: study score generation,
+        1:N ranking and the serving layer's micro-batches all come
+        through here.  Each distinct pair runs the scalar path
+        (:meth:`match_detailed` without its per-call telemetry) on the
+        memoized frames, so scores are bit-identical to a :meth:`match`
+        loop, which stays the parity oracle.
 
         Duplicate comparisons are collapsed first: the kernel is a pure
         function of the two templates' contents, so a batch that contains
         the same (probe, gallery) pair several times — the normal case
         when concurrent verification requests coalesce — pays for it
-        once and fans the score out.  This request-collapsing is where
-        cross-request micro-batching earns its throughput: a per-request
-        dispatcher never sees the redundancy.
+        once and fans the score out.
+
+        With telemetry on, one call counts its distinct pairs into
+        ``matcher.invocations`` and its duplicates into
+        ``matcher.collapsed``, and observes its pair count and wall time
+        as ``matcher.batch_size`` and ``matcher.batch_seconds``.
         """
         n = len(pairs)
         scores = np.empty(n, dtype=np.float64)
         if n == 0:
             return scores
+        recorder = get_recorder()
+        start = time.perf_counter() if recorder.active else 0.0
         distinct: Dict[Tuple, list] = {}
         for index, (probe, gallery) in enumerate(pairs):
             if probe is None or gallery is None:
                 raise MatcherError("score_pairs requires probe and gallery templates")
             key = (probe.content_key(), gallery.content_key())
             distinct.setdefault(key, []).append(index)
-        if len(distinct) < n:
-            recorder = get_recorder()
-            if recorder.active:
+        for indices in distinct.values():
+            probe, gallery = pairs[indices[0]]
+            scores[indices] = self._match_detailed(probe, gallery).score
+        if recorder.active:
+            recorder.count("matcher.invocations", len(distinct))
+            if len(distinct) < n:
                 recorder.count("matcher.collapsed", n - len(distinct))
-            groups = list(distinct.values())
-            unique_scores = self._score_distinct(
-                [pairs[indices[0]] for indices in groups]
-            )
-            for indices, score in zip(groups, unique_scores):
-                scores[indices] = score
-            return scores
-        return self._score_distinct(pairs)
-
-    def _score_distinct(
-        self, pairs: Sequence[Tuple[Template, Template]]
-    ) -> np.ndarray:
-        """Batch-group and score pairs assumed pairwise distinct."""
-        n = len(pairs)
-        scores = np.empty(n, dtype=np.float64)
-        by_gallery: Dict[Tuple[int, int, int], list] = {}
-        for index, (_probe, gallery) in enumerate(pairs):
-            by_gallery.setdefault(gallery.content_key(), []).append(index)
-        singles: list = []
-        for indices in by_gallery.values():
-            if len(indices) == 1:
-                singles.append(indices[0])
-                continue
-            gallery = pairs[indices[0]][1]
-            batch = self.match_many([pairs[i][0] for i in indices], gallery)
-            scores[indices] = batch
-        if singles:
-            by_probe: Dict[Tuple[int, int, int], list] = {}
-            for index in singles:
-                by_probe.setdefault(pairs[index][0].content_key(), []).append(index)
-            for indices in by_probe.values():
-                if len(indices) == 1:
-                    i = indices[0]
-                    scores[i] = self.match(pairs[i][0], pairs[i][1])
-                    continue
-                probe = pairs[indices[0]][0]
-                batch = self.match_one_to_many(
-                    probe, [pairs[i][1] for i in indices]
-                )
-                scores[indices] = batch
-        return scores
-
-    def match_many(
-        self, probes: Sequence[Template], gallery: Template
-    ) -> np.ndarray:
-        """Scores of every probe against one gallery template.
-
-        The batched entry point of the score engine: the gallery's frame
-        (positions, directions, qualities, descriptors) is computed once
-        and reused for the whole batch, and each distinct probe template
-        pays for its own frame once regardless of how many batches it
-        appears in.  Scores are *identical* to calling :meth:`match` in a
-        loop — the scalar path is the parity oracle for this kernel.
-        """
-        if gallery is None:
-            raise MatcherError("match_many requires a gallery template")
-        n = len(probes)
-        scores = np.empty(n, dtype=np.float64)
-        if n == 0:
-            return scores
-        recorder = get_recorder()
-        start = time.perf_counter() if recorder.active else 0.0
-        gallery_degenerate = len(gallery) < MIN_TEMPLATE_MINUTIAE
-        frame_g = None if gallery_degenerate else self._frame(gallery)
-        for k, probe in enumerate(probes):
-            if probe is None:
-                raise MatcherError("match_many requires probe templates")
-            if gallery_degenerate or len(probe) < MIN_TEMPLATE_MINUTIAE:
-                scores[k] = 0.0
-                continue
-            scores[k] = self._match_frames(self._frame(probe), frame_g).score
-        if recorder.active:
-            recorder.count("matcher.invocations", n)
-            recorder.observe("matcher.batch_size", float(n))
-            recorder.observe(
-                "matcher.batch_seconds", time.perf_counter() - start
-            )
-        return scores
-
-    def match_one_to_many(
-        self, probe: Template, galleries: Sequence[Template]
-    ) -> np.ndarray:
-        """Scores of one probe against every gallery template.
-
-        The identification-shaped twin of :meth:`match_many`: the probe's
-        frame is computed once and reused across the whole candidate
-        list, and each distinct gallery template pays for its frame once
-        regardless of how many searches it appears in.  Scores are
-        *identical* to calling :meth:`match` per candidate — both paths
-        reduce to ``_match_frames`` on the same memoized frames — so the
-        scalar loop remains the parity oracle for 1:N search.
-        """
-        if probe is None:
-            raise MatcherError("match_one_to_many requires a probe template")
-        n = len(galleries)
-        scores = np.empty(n, dtype=np.float64)
-        if n == 0:
-            return scores
-        recorder = get_recorder()
-        start = time.perf_counter() if recorder.active else 0.0
-        probe_degenerate = len(probe) < MIN_TEMPLATE_MINUTIAE
-        frame_p = None if probe_degenerate else self._frame(probe)
-        for k, gallery in enumerate(galleries):
-            if gallery is None:
-                raise MatcherError("match_one_to_many requires gallery templates")
-            if probe_degenerate or len(gallery) < MIN_TEMPLATE_MINUTIAE:
-                scores[k] = 0.0
-                continue
-            scores[k] = self._match_frames(frame_p, self._frame(gallery)).score
-        if recorder.active:
-            recorder.count("matcher.invocations", n)
             recorder.observe("matcher.batch_size", float(n))
             recorder.observe(
                 "matcher.batch_seconds", time.perf_counter() - start
@@ -296,7 +192,7 @@ class BioEngineMatcher:
     def _match_frames(
         self, frame_p: TemplateFrame, frame_g: TemplateFrame
     ) -> MatchResult:
-        """The match kernel, shared by the scalar and batched paths."""
+        """The match kernel behind every score."""
         similarity = similarity_matrix(frame_p.descriptors, frame_g.descriptors)
         candidates = candidate_pairs(similarity)
 

@@ -21,7 +21,7 @@ scale so fusion can combine the engines without renormalizing.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -115,6 +115,13 @@ class RidgeGeometryMatcher:
         # and rescale so the score lands on the shared 0-24 scale.
         adjusted = max(0.0, ratio - 0.18) / (1.0 - 0.18)
         return float(SCORE_SCALE * adjusted**1.5)
+
+    def score_pairs(self, pairs: Sequence[Tuple[Template, Template]]) -> np.ndarray:
+        """Scores of (probe, gallery) pairs, in input order: a :meth:`match` loop."""
+        return np.array(
+            [self.match(probe, gallery) for probe, gallery in pairs],
+            dtype=np.float64,
+        )
 
 
 __all__ = ["RidgeGeometryMatcher", "PAIR_HORIZON_MM"]

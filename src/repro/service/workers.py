@@ -322,15 +322,10 @@ def _worker_main(
                 _, probe, device, limit = msg
                 _perturb("rank")
                 scope = shard.scope(device)
-                galleries = [
-                    shard.template(dev, identity)
+                scores = matcher.score_pairs([
+                    (probe, shard.template(dev, identity))
                     for _, dev, identity in scope
-                ]
-                scores = (
-                    matcher.match_one_to_many(probe, galleries)
-                    if galleries
-                    else []
-                )
+                ])
                 ranked = sorted(
                     zip((key for key, _, _ in scope), scores),
                     key=lambda item: (-item[1], item[0]),

@@ -17,26 +17,14 @@ from repro.core.identification import (
 from repro.runtime.errors import ConfigurationError
 
 
-class _ScalarOnlyMatcher:
-    """A matcher exposing only ``match`` (no batched 1:N path)."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.calls = 0
-
-    def match(self, probe, gallery):
-        self.calls += 1
-        return self._inner.match(probe, gallery)
-
-
 class _ConstantMatcher:
     """Every comparison scores the same — the all-tied edge case."""
 
     def match(self, probe, gallery):
         return 5.0
 
-    def match_one_to_many(self, probe, galleries):
-        return np.full(len(galleries), 5.0)
+    def score_pairs(self, pairs):
+        return np.full(len(pairs), 5.0)
 
 
 @pytest.fixture(scope="module")
@@ -75,15 +63,6 @@ class TestRankCandidates:
         identities = [c.identity for c in candidates]
         assert identities == sorted(gallery)
         assert all(c.score == 5.0 for c in candidates)
-
-    def test_scalar_fallback_for_match_only_engines(
-        self, matcher, gallery, tiny_collection
-    ):
-        probe = tiny_collection.get(2, "right_index", "D0", 1).template
-        scalar_only = _ScalarOnlyMatcher(matcher)
-        candidates = rank_candidates(scalar_only, probe, gallery)
-        assert scalar_only.calls == len(gallery)
-        assert candidates == rank_candidates(matcher, probe, gallery)
 
 
 class TestBatchedScalarParity:

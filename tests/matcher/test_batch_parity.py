@@ -1,22 +1,24 @@
-"""Batched matching must equal scalar matching bit-for-bit.
+"""Batch scoring must equal scalar matching bit-for-bit.
 
-``match_many`` is the throughput kernel behind score generation; the
-scalar ``match`` stays as the parity oracle.  These tests drive both
-over the same >=1000-job workload (DMG genuine plus DDMI impostor, the
-two extremes of the Table 2 scenarios) and demand exact equality.
+``score_pairs`` is the matcher's one batch entry point — study score
+generation (``run_jobs``), 1:N ranking and the serving layer's
+micro-batches all go through it — and the scalar ``match`` stays the
+parity oracle.  These tests drive both over the same >=1000-job
+workload (DMG genuine plus DDMI impostor, the two extremes of the
+Table 2 scenarios) and over hand-built pair mixes, and demand exact
+equality.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.core.scores import (
-    enumerate_dmg_jobs,
-    group_jobs_gallery_major,
-    run_jobs,
-    run_jobs_batched,
-    sample_ddmi_jobs,
-)
+from repro.core.scores import enumerate_dmg_jobs, run_jobs, sample_ddmi_jobs
+from repro.matcher.engine import BioEngineMatcher
+from repro.matcher.types import Template
 from repro.runtime import SeedTree
+from repro.runtime.telemetry import enable_telemetry, get_recorder, set_recorder
 
 FINGER = "right_index"
 
@@ -32,98 +34,68 @@ def parity_jobs():
 
 class TestBatchScalarParity:
     @pytest.mark.parametrize("scenario", ["DMG", "DDMI"])
-    def test_run_jobs_batched_matches_scalar(
+    def test_run_jobs_matches_scalar_loop(
         self, parity_jobs, tiny_collection, matcher, scenario
     ):
         jobs = parity_jobs[scenario]
-        scalar = run_jobs(jobs, tiny_collection, matcher, FINGER, scenario)
-        batched = run_jobs_batched(
-            jobs, tiny_collection, matcher, FINGER, scenario
-        )
-        np.testing.assert_array_equal(scalar.scores, batched.scores)
+        result = run_jobs(jobs, tiny_collection, matcher, FINGER, scenario)
+        galleries = [tiny_collection.get(sg, FINGER, dg, setg)
+                     for sg, dg, setg, _, _, _ in jobs]
+        probes = [tiny_collection.get(sp, FINGER, dp, setp)
+                  for _, _, _, sp, dp, setp in jobs]
+        scalar = [
+            matcher.match(probe.template, gallery.template)
+            for probe, gallery in zip(probes, galleries)
+        ]
+        np.testing.assert_array_equal(result.scores, np.asarray(scalar))
         np.testing.assert_array_equal(
-            scalar.subject_gallery, batched.subject_gallery
+            result.subject_gallery, [job[0] for job in jobs]
         )
         np.testing.assert_array_equal(
-            scalar.subject_probe, batched.subject_probe
+            result.subject_probe, [job[3] for job in jobs]
         )
         np.testing.assert_array_equal(
-            scalar.device_gallery, batched.device_gallery
+            result.device_gallery, [job[1] for job in jobs]
         )
         np.testing.assert_array_equal(
-            scalar.device_probe, batched.device_probe
+            result.device_probe, [job[4] for job in jobs]
         )
-        np.testing.assert_array_equal(scalar.nfiq_probe, batched.nfiq_probe)
-
-    def test_match_many_equals_match_per_gallery_group(
-        self, parity_jobs, tiny_collection, matcher
-    ):
-        jobs = parity_jobs["DDMI"][:200]
-        for (subject_g, device_g, set_g), indices in group_jobs_gallery_major(
-            jobs
-        ):
-            gallery = tiny_collection.get(
-                subject_g, FINGER, device_g, set_g
-            ).template
-            probes = [
-                tiny_collection.get(
-                    jobs[k][3], FINGER, jobs[k][4], jobs[k][5]
-                ).template
-                for k in indices
-            ]
-            batch = matcher.match_many(probes, gallery)
-            scalar = [matcher.match(probe, gallery) for probe in probes]
-            np.testing.assert_array_equal(
-                np.asarray(batch), np.asarray(scalar)
-            )
-
-    def test_match_many_handles_empty_batch(self, tiny_collection, matcher):
-        gallery = tiny_collection.get(0, FINGER, "D0", 0).template
-        assert len(matcher.match_many([], gallery)) == 0
+        np.testing.assert_array_equal(
+            result.nfiq_gallery, [g.nfiq for g in galleries]
+        )
+        np.testing.assert_array_equal(
+            result.nfiq_probe, [p.nfiq for p in probes]
+        )
 
 
 class TestOneToManyParity:
-    """The identification-shaped batch path must also equal scalar."""
-
-    def test_match_one_to_many_equals_match_per_candidate(
-        self, tiny_collection, matcher
-    ):
-        probe = tiny_collection.get(0, FINGER, "D1", 1).template
-        galleries = [
-            tiny_collection.get(sid, FINGER, device, 0).template
-            for device in ("D0", "D1", "D2")
-            for sid in range(10)
-        ]
-        batch = matcher.match_one_to_many(probe, galleries)
-        scalar = [matcher.match(probe, gallery) for gallery in galleries]
-        np.testing.assert_array_equal(np.asarray(batch), np.asarray(scalar))
-
-    def test_match_one_to_many_handles_empty_list(
-        self, tiny_collection, matcher
-    ):
-        probe = tiny_collection.get(0, FINGER, "D0", 0).template
-        assert len(matcher.match_one_to_many(probe, [])) == 0
+    """One probe against a candidate list, the 1:N shape of a batch."""
 
     def test_degenerate_probe_scores_all_zero(self, tiny_collection, matcher):
-        from repro.matcher.types import Template
-
         empty_probe = Template(minutiae=(), width_px=100, height_px=100)
         galleries = [
             tiny_collection.get(sid, FINGER, "D0", 0).template
             for sid in range(4)
         ]
         np.testing.assert_array_equal(
-            matcher.match_one_to_many(empty_probe, galleries), np.zeros(4)
+            matcher.score_pairs([(empty_probe, g) for g in galleries]),
+            np.zeros(4),
         )
 
 
+#: Distinct comparisons and exact duplicates in ``TestScorePairsParity._pairs``.
+DISTINCT_PAIRS = 19
+DUPLICATE_PAIRS = 4
+
+
 class TestScorePairsParity:
-    """score_pairs (the serving layer's entry point) vs the scalar loop."""
+    """score_pairs vs the scalar loop."""
 
     def _pairs(self, tiny_collection):
-        # A mix that exercises every grouping branch: shared galleries
-        # (many probes vs one), shared probes (one vs many), and true
-        # one-off stragglers.
+        # Shared galleries (many probes vs one), shared probes (one vs
+        # many), one-off pairs, a degenerate template on each side, and
+        # exact duplicates — the same objects again, and an equal-content
+        # copy that only the content key can tell is the same pair.
         pairs = []
         shared_gallery = tiny_collection.get(0, FINGER, "D0", 0).template
         for sid in range(8):
@@ -138,6 +110,14 @@ class TestScorePairsParity:
                 tiny_collection.get(sid, FINGER, "D3", 1).template,
                 tiny_collection.get(sid, FINGER, "D4", 0).template,
             ))
+        empty = Template(minutiae=(), width_px=100, height_px=100)
+        pairs.append((empty, shared_gallery))
+        pairs.append((shared_probe, empty))
+        pairs.append(pairs[3])
+        pairs.append(pairs[10])
+        pairs.append(pairs[17])
+        pairs.append((dataclasses.replace(pairs[15][0]), pairs[15][1]))
+        assert len(pairs) == DISTINCT_PAIRS + DUPLICATE_PAIRS
         return pairs
 
     def test_score_pairs_equals_scalar_loop(self, tiny_collection, matcher):
@@ -145,6 +125,22 @@ class TestScorePairsParity:
         batch = matcher.score_pairs(pairs)
         scalar = [matcher.match(probe, gallery) for probe, gallery in pairs]
         np.testing.assert_array_equal(np.asarray(batch), np.asarray(scalar))
+        assert batch[17] == batch[18] == 0.0
+
+    def test_score_pairs_scores_each_distinct_pair_once(self, tiny_collection):
+        pairs = self._pairs(tiny_collection)
+        previous = get_recorder()
+        recorder = enable_telemetry()
+        try:
+            BioEngineMatcher().score_pairs(pairs)
+        finally:
+            set_recorder(previous)
+        assert recorder.metrics.counter_value("matcher.invocations") == (
+            DISTINCT_PAIRS
+        )
+        assert recorder.metrics.counter_value("matcher.collapsed") == (
+            DUPLICATE_PAIRS
+        )
 
     def test_score_pairs_preserves_input_order(self, tiny_collection, matcher):
         pairs = self._pairs(tiny_collection)

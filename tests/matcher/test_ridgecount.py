@@ -53,3 +53,43 @@ class TestBehaviour:
             ridge_scores.append(ridge.match(b, a))
         tau = kendall_tau(bio_scores, ridge_scores).tau
         assert tau < 0.999  # correlated is fine, identical is not
+
+
+class TestBatchProtocol:
+    """``score_pairs`` is the batch half of every registered matcher."""
+
+    def test_score_pairs_equals_match_loop(self, engine, tiny_collection):
+        empty = Template(minutiae=(), width_px=800, height_px=750)
+        gallery = tiny_collection.get(0, "right_index", "D0", 0).template
+        pairs = [
+            (tiny_collection.get(sid, "right_index", device, 1).template,
+             gallery)
+            for sid in range(4) for device in ("D0", "D3")
+        ]
+        pairs += [(empty, gallery), (gallery, empty), pairs[0]]
+        np.testing.assert_array_equal(
+            engine.score_pairs(pairs),
+            np.asarray([engine.match(p, g) for p, g in pairs]),
+        )
+        assert len(engine.score_pairs([])) == 0
+
+    def test_rank_candidates_equals_scalar_ranking(
+        self, engine, tiny_collection
+    ):
+        from repro.core.identification import (
+            rank_candidates,
+            rank_candidates_scalar,
+        )
+
+        gallery = {
+            f"{device}/subject-{sid}": tiny_collection.get(
+                sid, "right_index", device, 0
+            ).template
+            for device in ("D0", "D1")
+            for sid in range(10)
+        }
+        for sid, device in ((3, "D0"), (7, "D2")):
+            probe = tiny_collection.get(sid, "right_index", device, 1).template
+            assert rank_candidates(engine, probe, gallery) == (
+                rank_candidates_scalar(engine, probe, gallery)
+            )
