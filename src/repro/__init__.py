@@ -22,18 +22,14 @@ The facade entry points (:func:`~repro.api.run_study`,
 also re-exported here.  The historic top-level names
 (``from repro import InteroperabilityStudy`` etc.) keep working but emit
 :class:`DeprecationWarning`; ``docs/api.md`` has the migration table.
+
+``import repro`` loads nothing heavy: :mod:`repro.api`, the facade names
+and the subpackages resolve on first touch.  numpy therefore loads after
+the process owner's entry point (the ``repro`` CLI) has chosen its BLAS
+thread count.
 """
 
 import warnings
-
-from . import api
-from .api import (
-    DeviceComparison,
-    StudyResult,
-    compare_devices,
-    load_scores,
-    run_study,
-)
 
 __version__ = "1.1.0"
 
@@ -77,19 +73,32 @@ _LEGACY_NAMES = frozenset(
 
 
 def __getattr__(name: str):
-    if name in _LEGACY_NAMES:
-        warnings.warn(
-            f"importing {name!r} from 'repro' is deprecated; "
-            f"use 'from repro.api import {name}' instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(api, name)
+    if not name.startswith("_"):
+        from importlib import import_module
+
+        # Loads numpy and every subpackage, as the eager import used to.
+        api = import_module(".api", __name__)
+
+        if name in _LEGACY_NAMES:
+            warnings.warn(
+                f"importing {name!r} from 'repro' is deprecated; "
+                f"use 'from repro.api import {name}' instead",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            return getattr(api, name)
+        if name in __all__ and name not in globals():
+            globals()[name] = getattr(api, name)
+        if name in globals():
+            return globals()[name]
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _LEGACY_NAMES)
+    from importlib import import_module
+
+    import_module(".api", __name__)  # binds the subpackages it loads
+    return sorted(set(globals()) | set(__all__))
 
 
 __all__ = [

@@ -37,14 +37,45 @@ interrupted run from its chunk checkpoints) and ``--no-fail-fast``
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
 
-import numpy as np
+#: Variables through which an operator picks numpy's BLAS thread count;
+#: the CLI's one-thread default yields to any of them.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _default_blas_threads() -> str:
+    """Default numpy's BLAS to one thread unless the operator chose.
+
+    OpenBLAS reads its thread count once, when numpy loads, so this runs
+    before this module imports numpy; the workers ``run`` and ``serve``
+    fork inherit the setting.  On small hosts idle BLAS threads only
+    compete with the event loop and the matcher (``docs/performance.md``,
+    "BLAS threads").  An empty variable counts as unset, as it does for
+    OpenBLAS.  Returns the effective setting as ``serve`` reports it.
+    """
+    for name in BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name)
+        if value:
+            return value if name == "OPENBLAS_NUM_THREADS" else f"{name}={value}"
+    if "numpy" in sys.modules:
+        # Too late to reach this process's BLAS; say so rather than claim it.
+        return "default (numpy loaded first)"
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    return "1"
+
+
+#: The BLAS thread setting this process runs with.
+BLAS_THREADS = _default_blas_threads()
+
+# Everything below may load numpy, so it follows the default above.
+import argparse
+import functools
 from pathlib import Path
 from typing import List, Optional
+
+import numpy as np
 
 from . import __version__
 from .api import StudyConfig
@@ -816,7 +847,8 @@ def cmd_serve(args, out) -> int:
             f"identify {server.identify_mode}, "
             f"workers {server.pool.workers if server.pool else 0}, "
             f"tracing {'on' if server.tracing else 'off'}, "
-            f"auth {'on' if server.auth is not None else 'off'}"
+            f"auth {'on' if server.auth is not None else 'off'}, "
+            f"blas threads {BLAS_THREADS}"
             + (f", reqlog {server.reqlog.path}" if server.reqlog else "")
             + ")",
             file=out, flush=True,

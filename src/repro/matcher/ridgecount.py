@@ -69,11 +69,13 @@ class RidgeGeometryMatcher:
     name = "ridgecount"
 
     def __init__(self, max_cache_entries: int = 4096) -> None:
-        self._table_cache: Dict[int, np.ndarray] = {}
+        self._table_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
         self._max_cache_entries = max_cache_entries
 
     def _table(self, template: Template) -> np.ndarray:
-        key = id(template)
+        # Keyed by content, not id(): a template built at a dead one's
+        # recycled address must not inherit its table.
+        key = template.content_key()
         cached = self._table_cache.get(key)
         if cached is not None:
             return cached

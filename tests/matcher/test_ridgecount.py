@@ -93,3 +93,31 @@ class TestBatchProtocol:
             assert rank_candidates(engine, probe, gallery) == (
                 rank_candidates_scalar(engine, probe, gallery)
             )
+
+
+class TestTableCache:
+    def test_recycled_template_address_gets_its_own_table(
+        self, tiny_collection
+    ):
+        # Each probe is dropped before the next is built, so the allocator
+        # hands the new one a dead probe's address: a cache keyed by id()
+        # served the dead probe's pair table and a wrong score.
+        gallery = tiny_collection.get(0, "right_index", "D0", 0).template
+        sources = [
+            tiny_collection.get(sid, "right_index", device, 1).template
+            for sid in range(5) for device in ("D0", "D1")
+        ]
+        shared = RidgeGeometryMatcher()
+        scores, expected = [], []
+        for i in range(200):
+            source = sources[i % len(sources)]
+            drop = (i // len(sources)) % len(source)
+            probe = Template(
+                minutiae=source.minutiae[:drop] + source.minutiae[drop + 1:],
+                width_px=source.width_px,
+                height_px=source.height_px,
+            )
+            scores.append(shared.match(probe, gallery))
+            expected.append(RidgeGeometryMatcher().match(probe, gallery))
+            del probe
+        assert scores == expected
