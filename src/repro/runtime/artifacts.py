@@ -158,9 +158,7 @@ class ArtifactStore:
     def has(self, tier: str, digest: str) -> bool:
         """Whether ``digest`` exists in ``tier`` (no read, no counters)."""
         directory = self._tier(tier)
-        if directory.root is None:
-            return False
-        return (directory.root / f"{digest}.npz").exists()
+        return directory.enabled and directory.path_for(digest).exists()
 
     def invalidate(self, tier: str, digest: str) -> bool:
         """Remove one entry; returns whether it existed."""

@@ -8,8 +8,8 @@ quality, and persists every accepted record so the gallery survives a
 server restart.
 
 Storage rides :class:`~repro.runtime.cache.NpzDirectory` — one shard
-directory per capture device, one ``.npz`` bundle per identity — so the
-gallery inherits the cache layer's atomic writes and
+directory per capture device, one CRC-checked bundle per identity — so
+the gallery inherits the cache layer's atomic writes and
 corruption-as-miss semantics: a record torn by a crash mid-write is
 dropped (and logged) at reload rather than poisoning the index.  The
 per-device sharding mirrors the paper's central finding: which device
@@ -20,12 +20,10 @@ explicit choice).
 
 Each record also carries its fixed-length **prefilter descriptor**
 (:func:`repro.core.prefilter.descriptor_vector`), and every device
-shard maintains a contiguous descriptor matrix — a
-:class:`~repro.core.prefilter.PrefilterIndex` updated incrementally on
-enroll/delete and persisted under ``root/__index__/<device>.npz`` as
-one more corruption-as-miss tier: a torn or stale matrix is rebuilt
-from the records (never trusted), so the index can accelerate
-``/identify`` without ever being able to corrupt it.
+shard keeps a contiguous descriptor matrix in memory — a
+:class:`~repro.core.prefilter.PrefilterIndex` derived from the loaded
+records at start-up and updated incrementally on enroll/delete.  It is
+never persisted, so it cannot disagree with the records it indexes.
 
 Durability rides a :class:`~repro.runtime.wal.WriteAheadLog` under
 ``root/__wal__``: every enroll/delete is logged (and, per
@@ -36,13 +34,6 @@ crash interrupted; once replay lands, the log is checkpointed and
 compacted.  The same log is what a read-only follower
 (``GalleryIndex(root, readonly=True)`` + ``apply_wal_record``) tails to
 mirror the primary live.
-
-The descriptor matrices are *derived* state, so they are flushed
-lazily: enroll/delete dirty-flag the device and the matrix is written
-atomically at WAL checkpoints and on :meth:`GalleryIndex.close` —
-O(gallery) matrix rewrites leave the per-write path, and a crash at
-worst leaves a stale matrix that the rebuild-on-mismatch reload check
-already repairs.
 """
 
 from __future__ import annotations
@@ -51,7 +42,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,8 +68,8 @@ from ..runtime.wal import (
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
-#: Shard directory holding the persisted per-device descriptor
-#: matrices; reserved — no device or identity may use the name.
+#: Reserved name — no device or identity may use it.  Older versions
+#: persisted descriptor matrices there; reload skips the directory.
 _INDEX_DIRNAME = "__index__"
 
 #: Directory holding the write-ahead log's segments (reserved too; the
@@ -249,10 +240,9 @@ class GalleryIndex:
         ``always``); see :mod:`repro.runtime.wal`.
     readonly:
         Follower mode: load the shards without mutating anything on
-        disk (corrupt entries are skipped, not unlinked; no WAL writer,
-        no index persistence).  Writes raise
-        :class:`GalleryReadOnlyError`; live updates arrive through
-        :meth:`apply_wal_record` from a tailed WAL instead.
+        disk (corrupt entries are skipped, not unlinked; no WAL writer).
+        Writes raise :class:`GalleryReadOnlyError`; live updates arrive
+        through :meth:`apply_wal_record` from a tailed WAL instead.
     """
 
     def __init__(
@@ -273,15 +263,9 @@ class GalleryIndex:
         self._shards: Dict[str, NpzDirectory] = {}
         self._records: Dict[Tuple[str, str], GalleryRecord] = {}
         self._indexes: Dict[str, PrefilterIndex] = {}
-        self._dirty_indexes: Set[str] = set()
         #: Corrupt/unreadable records silently skipped at the last
         #: reload — surfaced in :meth:`stats` and ``/metrics``.
         self.corrupt_dropped = 0
-        self._index_store = NpzDirectory(
-            self._root / _INDEX_DIRNAME,
-            metric_prefix="gallery.index",
-            readonly=self._readonly,
-        )
         self._wal: Optional[WriteAheadLog] = None
         if not self._readonly:
             self._wal = WriteAheadLog(
@@ -291,8 +275,7 @@ class GalleryIndex:
         self._reload()
         if self._wal is not None:
             self._replay_wal()
-        for device in self.devices():
-            self._restore_index(device)
+        self._build_indexes()
 
     # ------------------------------------------------------------------
     # Persistence plumbing
@@ -319,8 +302,7 @@ class GalleryIndex:
             if device == _INDEX_DIRNAME or not _NAME_RE.match(device):
                 continue
             shard = self._shard(device)
-            for entry in sorted(device_dir.glob("*.npz")):
-                identity = entry.stem
+            for identity in shard.keys():
                 if not _NAME_RE.match(identity):
                     continue
                 record = self._load_record(shard, device, identity)
@@ -464,92 +446,21 @@ class GalleryIndex:
             self._indexes[device] = index
         return index
 
-    def _persist_index(self, device: str) -> None:
-        """Write one shard's contiguous descriptor matrix atomically."""
-        if self._readonly:
-            return
-        index = self._index(device)
-        if len(index) == 0:
-            self._index_store.invalidate(device)
-            return
-        self._index_store.store(
-            device,
-            arrays={"matrix": index.matrix()},
-            meta={
-                "device": device,
-                "identities": list(index.keys()),
-                "descriptor_version": DESCRIPTOR_VERSION,
-                "dim": index.dim,
-            },
-        )
-
-    def flush_indexes(self) -> int:
-        """Persist every dirty descriptor matrix; returns how many.
-
-        The per-write path only dirty-flags (an O(gallery) matrix
-        rewrite per enroll was the old behavior); flushes happen here —
-        at WAL checkpoints, on :meth:`close`, or whenever a caller
-        wants the derived state on disk.  Crash staleness is safe
-        either way: the reload check rebuilds any matrix that
-        disagrees with the records.
-        """
-        flushed = 0
-        for device in sorted(self._dirty_indexes):
-            self._persist_index(device)
-            flushed += 1
-        self._dirty_indexes.clear()
-        if flushed:
-            get_recorder().count("gallery.index.flushes", flushed)
-        return flushed
-
-    def _rebuild_index(self, device: str) -> None:
-        """Derive one shard's index from its records and re-persist it."""
-        self._indexes[device] = PrefilterIndex.from_items({
-            identity: record.descriptor
-            for (dev, identity), record in sorted(self._records.items())
-            if dev == device
-        })
-        self._persist_index(device)
-        get_recorder().count("gallery.index.rebuilt")
-
-    def _restore_index(self, device: str) -> None:
-        """Adopt the persisted matrix when it matches the records.
-
-        The matrix is a derived artifact: corruption, a descriptor
-        version bump, or any disagreement with the records (identity
-        set, dimension, non-finite rows) means it is discarded and
-        rebuilt — corruption-as-miss, never corruption-as-truth.
-        """
-        arrays, meta = self._index_store.load_entry(device) or (None, None)
-        expected = sorted(
-            identity for (dev, identity) in self._records if dev == device
-        )
-        if meta is not None:
-            matrix = arrays.get("matrix")
-            identities = list(meta.get("identities", []))
-            if (
-                int(meta.get("descriptor_version", 0)) == DESCRIPTOR_VERSION
-                and matrix is not None
-                and matrix.ndim == 2
-                and matrix.shape == (len(identities), DESCRIPTOR_DIM)
-                and sorted(identities) == expected
-                and bool(np.all(np.isfinite(matrix)))
-            ):
-                self._indexes[device] = PrefilterIndex.from_items({
-                    identity: matrix[i] for i, identity in enumerate(identities)
-                })
-                return
-            _log.warning(
-                "stale descriptor matrix rebuilt",
-                extra={"data": {"device": device}},
-            )
-        self._rebuild_index(device)
+    def _build_indexes(self) -> None:
+        """Derive every device's prefilter index from the loaded records."""
+        items: Dict[str, Dict[str, np.ndarray]] = {}
+        for (device, identity), record in sorted(self._records.items()):
+            items.setdefault(device, {})[identity] = record.descriptor
+        self._indexes = {
+            device: PrefilterIndex.from_items(descriptors)
+            for device, descriptors in items.items()
+        }
 
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
     def _store_record(self, record: GalleryRecord) -> None:
-        """Write one record's ``.npz`` shard entry (atomic)."""
+        """Write one record's shard entry (atomic)."""
         template = record.template
         self._shard(record.device).store(
             record.identity,
@@ -577,12 +488,10 @@ class GalleryIndex:
         """Checkpoint/compact when a WAL segment sealed since the last.
 
         Every op at or below ``durable_lsn`` is already applied to the
-        atomic shard store, so the sealed segments are redundant; the
-        dirty descriptor matrices ride the same flush point.
+        atomic shard store, so the sealed segments are redundant.
         """
         if self._wal is None or not self._wal.rotated_since_checkpoint:
             return
-        self.flush_indexes()
         self._wal.checkpoint(durable_lsn)
 
     def enroll(
@@ -634,7 +543,6 @@ class GalleryIndex:
         self._store_record(record)
         self._records[(device, identity)] = record
         self._index(device).add(identity, descriptor)
-        self._dirty_indexes.add(device)
         self._maybe_checkpoint(lsn)
         get_recorder().count("gallery.enrolled")
         return record
@@ -661,7 +569,6 @@ class GalleryIndex:
         index = self._index(device)
         if identity in index:
             index.remove(identity)
-        self._dirty_indexes.add(device)
         self._maybe_checkpoint(lsn)
         get_recorder().count("gallery.deleted")
         return lsn
@@ -724,12 +631,9 @@ class GalleryIndex:
         if not self._readonly:
             raise GalleryReadOnlyError("rebootstrap")
         self._records.clear()
-        self._indexes.clear()
-        self._dirty_indexes.clear()
         self._shards.clear()
         self._reload()
-        for device in self.devices():
-            self._restore_index(device)
+        self._build_indexes()
         get_recorder().count("gallery.rebootstraps")
         return len(self._records)
 
@@ -748,8 +652,7 @@ class GalleryIndex:
         return self._wal.stats() if self._wal is not None else None
 
     def close(self) -> None:
-        """Flush dirty matrices, checkpoint, and close the WAL (idempotent)."""
-        self.flush_indexes()
+        """Checkpoint and close the WAL (idempotent)."""
         if self._wal is not None:
             if self._wal.last_lsn:
                 self._wal.checkpoint(self._wal.last_lsn)

@@ -1,6 +1,10 @@
 """Persistent gallery index: quality gate, CRUD, restart recovery."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from repro.core.prefilter import (
     merge_shard_candidates,
 )
 from repro.matcher.types import template_from_arrays
+from repro.runtime.cache import NpzDirectory
 from repro.runtime.errors import ConfigurationError
 from repro.runtime.shm import SharedGalleryStore, SharedGalleryView
 from repro.runtime.telemetry import enable_telemetry, get_recorder, set_recorder
@@ -25,6 +30,27 @@ from repro.service.gallery import (
 from repro.service.workers import _WorkerShard
 
 FINGER = "right_index"
+
+_REENROLL_CRASH_CHILD = """
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from repro.matcher.types import template_from_arrays
+from repro.service.gallery import GalleryIndex
+
+with np.load(sys.argv[2]) as saved:
+    width, height, dpi = (int(v) for v in saved["size"])
+    template = template_from_arrays(
+        positions_px=saved["positions_px"], angles=saved["angles"],
+        kinds=saved["kinds"], qualities=saved["qualities"],
+        width_px=width, height_px=height, resolution_dpi=dpi,
+    )
+GalleryIndex(Path(sys.argv[1])).enroll("x", template, device="D0")
+os._exit(0)  # no close, no flush, no atexit
+"""
 
 
 def _low_quality_template():
@@ -228,13 +254,13 @@ class TestPersistence:
                     )
         (root / "D1" / "subject-2.npz").write_bytes(b"torn mid-write")
         opened = []
-        real_load = np.load
+        real_load_entry = NpzDirectory.load_entry
 
-        def counting_load(path, *args, **kwargs):
-            opened.append(str(path))
-            return real_load(path, *args, **kwargs)
+        def counting_load_entry(store, key):
+            opened.append(str(store.path_for(key)))
+            return real_load_entry(store, key)
 
-        monkeypatch.setattr(np, "load", counting_load)
+        monkeypatch.setattr(NpzDirectory, "load_entry", counting_load_entry)
         previous = get_recorder()
         recorder = enable_telemetry()
         try:
@@ -242,13 +268,14 @@ class TestPersistence:
         finally:
             set_recorder(previous)
         assert len(reborn) == 6
-        # Six records and two descriptor matrices, each read once.
-        assert len(opened) == len(set(opened)) == 8
+        # Six records, each read once; the index is derived, not read.
+        assert len(opened) == len(set(opened)) == 6
+        assert not any("__index__" in path for path in opened)
         counters = recorder.metrics.snapshot()["counters"]
         assert counters["gallery.hit"] == 5
         assert counters["gallery.corrupt"] == 1
         assert counters["gallery.miss"] == 1
-        assert counters["gallery.index.hit"] == 2
+        assert not any(name.startswith("gallery.index.") for name in counters)
 
     def test_corrupt_record_dropped_and_counted_without_wal(
         self, tmp_path, tiny_collection
@@ -402,36 +429,39 @@ class TestDescriptorIndex:
 
 
 class TestDescriptorPersistence:
-    """The matrix survives restart, rebuilds from corruption, and never
-    blocks gallery recovery."""
+    """The matrix is derived from the records at every start, so it
+    survives restart, ignores leftovers and never blocks recovery."""
 
     def _populate(self, root, tiny_collection, n=3):
+        with GalleryIndex(root) as gallery:
+            for sid in range(n):
+                gallery.enroll(
+                    f"subject-{sid}",
+                    tiny_collection.get(sid, FINGER, "D0", 0).template,
+                    device="D0",
+                )
+        return gallery
+
+    def test_index_flush_is_deferred(self, tmp_path, tiny_collection):
+        # Enrolls keep the matrix in memory only: no O(gallery) matrix
+        # write per enroll, and none deferred to a later flush either.
+        root = tmp_path / "gallery"
         gallery = GalleryIndex(root)
-        for sid in range(n):
+        for sid in range(2):
             gallery.enroll(
                 f"subject-{sid}",
                 tiny_collection.get(sid, FINGER, "D0", 0).template,
                 device="D0",
             )
-        gallery.flush_indexes()
-        return gallery
-
-    def test_index_flush_is_deferred(self, tmp_path, tiny_collection):
-        # Enrolls dirty the in-memory index; the O(gallery) matrix write
-        # happens once at flush/close, not once per write.
-        root = tmp_path / "gallery"
-        gallery = GalleryIndex(root)
-        gallery.enroll(
-            "subject-0",
-            tiny_collection.get(0, FINGER, "D0", 0).template,
-            device="D0",
-        )
-        assert not (root / "__index__" / "D0.npz").exists()
-        assert gallery.flush_indexes() == 1
-        assert (root / "__index__" / "D0.npz").exists()
-        assert gallery.flush_indexes() == 0  # clean: nothing rewritten
+        assert gallery.descriptor_matrix("D0").shape == (2, DESCRIPTOR_DIM)
+        assert not (root / "__index__").exists()
+        assert not hasattr(gallery, "flush_indexes")
+        gallery.close()
 
     def test_close_flushes_dirty_index(self, tmp_path, tiny_collection):
+        # close() leaves nothing the index depends on unwritten: the
+        # records alone rebuild the matrix held before close, and no
+        # matrix file is written at close.
         root = tmp_path / "gallery"
         with GalleryIndex(root) as gallery:
             gallery.enroll(
@@ -439,16 +469,90 @@ class TestDescriptorPersistence:
                 tiny_collection.get(0, FINGER, "D0", 0).template,
                 device="D0",
             )
-        assert (root / "__index__" / "D0.npz").exists()
+            expected = gallery.descriptor_matrix("D0")
+        assert not (root / "__index__").exists()
+
+        reborn = GalleryIndex(root)
+        np.testing.assert_array_equal(reborn.descriptor_matrix("D0"), expected)
 
     def test_matrix_persisted_and_adopted_on_restart(self, tmp_path, tiny_collection):
+        # The matrix survives restart by being derived from the records,
+        # row for row, without any file under __index__/.
         root = tmp_path / "gallery"
         first = self._populate(root, tiny_collection)
-        assert (root / "__index__" / "D0.npz").exists()
+        assert not (root / "__index__").exists()
 
         reborn = GalleryIndex(root)
         np.testing.assert_array_equal(
             reborn.descriptor_matrix("D0"), first.descriptor_matrix("D0")
+        )
+
+    def test_stale_matrix_detected_and_rebuilt(self, tmp_path, tiny_collection):
+        # A leftover matrix from an older version that names fewer
+        # identities than the records is neither read nor allowed to
+        # shadow them.
+        root = tmp_path / "gallery"
+        first = self._populate(root, tiny_collection, n=2)
+        (root / "__index__").mkdir()
+        np.savez_compressed(
+            root / "__index__" / "D0.npz",
+            matrix=first.descriptor_matrix("D0")[:1],
+            __meta__=np.frombuffer(
+                json.dumps({"identities": ["subject-0"]}).encode("utf-8"),
+                dtype=np.uint8,
+            ),
+        )
+        with GalleryIndex(root) as gallery:
+            gallery.enroll(
+                "subject-2",
+                tiny_collection.get(2, FINGER, "D0", 0).template,
+                device="D0",
+            )
+            expected = gallery.descriptor_matrix("D0")
+
+        reborn = GalleryIndex(root)
+        assert sorted((root / "__index__").iterdir()) == [root / "__index__" / "D0.npz"]
+        assert reborn.descriptor_matrix("D0").shape == (3, DESCRIPTOR_DIM)
+        np.testing.assert_array_equal(reborn.descriptor_matrix("D0"), expected)
+        probe = tiny_collection.get(2, FINGER, "D0", 0).template
+        assert reborn.prefilter(probe, device="D0", k=1)[0].key == "subject-2"
+
+    def test_reenroll_crash_reloads_the_new_descriptor(
+        self, tmp_path, tiny_collection
+    ):
+        # Re-enroll an identity, then die without any shutdown: the
+        # reloaded index must hold the new template's row, not the row
+        # of the template it replaced.
+        root = tmp_path / "gallery"
+        old = tiny_collection.get(0, FINGER, "D0", 0).template
+        new = tiny_collection.get(1, FINGER, "D0", 0).template
+        with GalleryIndex(root) as gallery:
+            gallery.enroll("x", old, device="D0")
+        template_file = tmp_path / "new.npz"
+        np.savez(
+            template_file,
+            positions_px=new.positions_px(),
+            angles=new.angles(),
+            kinds=new.kinds(),
+            qualities=new.qualities(),
+            size=np.array([new.width_px, new.height_px, new.resolution_dpi]),
+        )
+        script = tmp_path / "reenroll.py"
+        script.write_text(_REENROLL_CRASH_CHILD)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(
+            Path(__file__).resolve().parents[2] / "src"
+        ) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, str(script), str(root), str(template_file)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
+        reborn = GalleryIndex(root)
+        assert reborn.get("x", device="D0").template == new
+        np.testing.assert_array_equal(
+            reborn.descriptor_matrix("D0")[0], descriptor_vector(new)
         )
 
     def test_corrupt_matrix_file_rebuilds_from_records(
@@ -457,38 +561,17 @@ class TestDescriptorPersistence:
         root = tmp_path / "gallery"
         first = self._populate(root, tiny_collection)
         expected = first.descriptor_matrix("D0")
+        (root / "__index__").mkdir()
         (root / "__index__" / "D0.npz").write_bytes(b"garbage")
 
         reborn = GalleryIndex(root)
         assert len(reborn) == 3
         np.testing.assert_allclose(reborn.descriptor_matrix("D0"), expected)
 
-    def test_stale_matrix_detected_and_rebuilt(self, tmp_path, tiny_collection):
-        # Simulate a crash between record write and index persist: the
-        # persisted matrix names fewer identities than the records.
-        root = tmp_path / "gallery"
-        self._populate(root, tiny_collection, n=2)
-        stale = (root / "__index__" / "D0.npz").read_bytes()
-        gallery = GalleryIndex(root)
-        gallery.enroll(
-            "subject-2",
-            tiny_collection.get(2, FINGER, "D0", 0).template,
-            device="D0",
-        )
-        gallery.flush_indexes()
-        (root / "__index__" / "D0.npz").write_bytes(stale)
-
-        reborn = GalleryIndex(root)
-        assert reborn.descriptor_matrix("D0").shape == (3, DESCRIPTOR_DIM)
-        probe = tiny_collection.get(2, FINGER, "D0", 0).template
-        assert reborn.prefilter(probe, device="D0", k=1)[0].key == "subject-2"
-
     def test_missing_index_dir_rebuilds_silently(self, tmp_path, tiny_collection):
-        import shutil
-
         root = tmp_path / "gallery"
         self._populate(root, tiny_collection)
-        shutil.rmtree(root / "__index__")
+        assert not (root / "__index__").exists()
 
         reborn = GalleryIndex(root)
         assert reborn.descriptor_matrix("D0").shape == (3, DESCRIPTOR_DIM)
@@ -496,20 +579,18 @@ class TestDescriptorPersistence:
     def test_record_without_descriptor_recomputed_at_load(
         self, tmp_path, tiny_collection
     ):
-        # Records enrolled before this PR have no stored descriptor —
-        # the loader recomputes instead of failing or skipping.
+        # Records enrolled before the prefilter have no stored
+        # descriptor (and, that old, are in the zip layout) — the loader
+        # recomputes instead of failing or skipping.
         root = tmp_path / "gallery"
         self._populate(root, tiny_collection, n=1)
-        path = root / "D0" / "subject-0.npz"
-        with np.load(path, allow_pickle=False) as handle:
-            arrays = {name: handle[name] for name in handle.files}
-        arrays.pop("descriptor", None)
-        meta = json.loads(arrays.pop("__meta__").tobytes().decode("utf-8"))
-        meta.pop("descriptor_version", None)
+        arrays, meta = NpzDirectory(root / "D0").load_entry("subject-0")
+        arrays.pop("descriptor")
+        meta.pop("descriptor_version")
         arrays["__meta__"] = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
         )
-        np.savez(path, **arrays)
+        np.savez(root / "D0" / "subject-0.npz", **arrays)
 
         reborn = GalleryIndex(root)
         record = reborn.get("subject-0", device="D0")
