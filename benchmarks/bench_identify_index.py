@@ -24,8 +24,15 @@ two quantities the two-stage design trades against each other:
   ``--oracle-probes`` probes and additionally asserts two-stage top-1
   agreement on each.
 
+It also records the **footprint**: the bytes ``tracemalloc`` sees held
+per gallery entry once the entries are built — the template under its
+key, and the entry's row of an exactly sized prefilter index —
+measured on the first ``FOOTPRINT_ENTRIES`` entries (fewer on a smaller
+gallery) and projected to the full gallery.
+
 The record lands in ``benchmarks/output/`` as JSON: the recall@K table,
-both latencies, the speedup, and the oracle-agreement count.
+both latencies, the speedup, the oracle-agreement count and the
+footprint.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +61,8 @@ K_SWEEP = (8, 16, 32, 64)
 # views carry gentle capture noise; probes take the full re-capture
 # perturbation (the `_device_view` defaults).
 ENROLL_NOISE = {"drop": 0.05, "jitter_px": 0.5, "spurious": 1}
+#: Gallery entries the footprint is traced on (capped at the gallery size).
+FOOTPRINT_ENTRIES = 4096
 
 
 def _random_template(rng, n_min=25, n_max=60):
@@ -171,6 +181,34 @@ def _measure_recall(fingers, index, rng, n_probes):
     }
 
 
+def _measure_footprint(fingers, rng):
+    """Traced bytes held per gallery entry: template (with key) + index row."""
+    n_fingers = max(1, min(len(fingers), FOOTPRINT_ENTRIES // 2))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        gallery = {}
+        for i, finger in enumerate(fingers[:n_fingers]):
+            for device in ("D0", "D1"):
+                gallery[f"{device}/id-{i:06d}"] = _device_view(
+                    finger, rng, **ENROLL_NOISE
+                )
+        templates = tracemalloc.get_traced_memory()[0] - start
+        index = PrefilterIndex.from_items(
+            {key: descriptor_vector(t) for key, t in gallery.items()}
+        )
+        rows = tracemalloc.get_traced_memory()[0] - start - templates
+    finally:
+        tracemalloc.stop()
+    entries = len(index)
+    return {
+        "entries": entries,
+        "template_bytes_per_entry": round(templates / entries),
+        "index_bytes_per_entry": round(rows / entries),
+        "traced_bytes_per_entry": round((templates + rows) / entries),
+    }
+
+
 def _measure_speedup(fingers, gallery, matcher, rng, n_oracle, candidate_k):
     """Exhaustive-vs-two-stage wall clock plus top-1 agreement."""
     identifier = TwoStageIdentifier(matcher, gallery, candidate_k=candidate_k)
@@ -235,6 +273,13 @@ def main() -> None:
     fingers, index, keys = _build_gallery(n_fingers, rng)
     build_seconds = time.perf_counter() - started
 
+    print("tracing the per-entry footprint ...", flush=True)
+    footprint = _measure_footprint(fingers, np.random.default_rng(args.seed + 2))
+    footprint["projected_gallery_mb"] = round(
+        footprint["traced_bytes_per_entry"] * 2 * n_fingers / 1e6, 1
+    )
+    print(f"  footprint: {footprint}", flush=True)
+
     print(f"measuring recall over {args.recall_probes} probes ...", flush=True)
     recall = _measure_recall(fingers, index, rng, args.recall_probes)
     print(f"  recall@K: {recall['recall_at']}", flush=True)
@@ -265,6 +310,7 @@ def main() -> None:
         "gallery_build_seconds": round(build_seconds, 1),
         "recall": recall,
         "speed": speed,
+        "footprint": footprint,
     }
 
     OUTPUT_DIR.mkdir(exist_ok=True)

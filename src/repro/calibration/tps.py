@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..matcher.types import Minutia, Template
+from ..matcher.types import Template, template_from_arrays
 from ..runtime.errors import CalibrationError
 
 #: Minimum control points for a stable 2-D TPS fit.
@@ -168,18 +168,11 @@ def apply_tps_to_template(template: Template, spline: ThinPlateSpline) -> Templa
         return template
     moved_mm = spline.transform(template.positions_mm())
     moved_px = moved_mm * template.pixels_per_mm
-    minutiae = tuple(
-        Minutia(
-            x=float(moved_px[i, 0]),
-            y=float(moved_px[i, 1]),
-            angle=m.angle,
-            kind=m.kind,
-            quality=m.quality,
-        )
-        for i, m in enumerate(template.minutiae)
-    )
-    return Template(
-        minutiae=minutiae,
+    return template_from_arrays(
+        positions_px=moved_px,
+        angles=template.angles(),
+        kinds=template.kinds(),
+        qualities=template.qualities(),
         width_px=template.width_px,
         height_px=template.height_px,
         resolution_dpi=template.resolution_dpi,

@@ -103,7 +103,7 @@ def _axis_parts(scaled: np.ndarray, bins: int, wrap: bool):
     )
 
 
-def _structure_histogram(template: Template) -> np.ndarray:
+def _structure_histogram(entries: np.ndarray) -> np.ndarray:
     """The bag of local structures: a joint soft 3D histogram.
 
     Pools every finite neighbourhood entry the exact matcher's
@@ -111,36 +111,44 @@ def _structure_histogram(template: Template) -> np.ndarray:
     relative-angle) triples expressed in each minutia's own frame, hence
     invariant to the global pose difference between two captures — into
     one trilinearly soft-binned histogram, normalized by entry count.
+
+    The eight corners are summed by one ``bincount`` over the corners
+    laid end to end in (distance, azimuth, relative) loop order, which
+    adds every bin's terms in the same order one ``np.add.at`` per
+    corner did, so the floats are the same.
     """
-    entries = build_descriptors(template).entries.reshape(-1, 3)
+    entries = entries.reshape(-1, 3)
     entries = entries[np.isfinite(entries[:, 0])]
-    hist = np.zeros((_DIST_BINS, _AZIMUTH_BINS, _RELATIVE_BINS), dtype=np.float64)
     if len(entries) == 0:
-        return hist.ravel()
+        return np.zeros(_BAG_DIM, dtype=np.float64)
     dist = np.clip(entries[:, 0] / _DIST_RANGE_MM, 0.0, 1.0 - 1e-9) * _DIST_BINS - 0.5
     azimuth = (entries[:, 1] + np.pi) / (2.0 * np.pi) * _AZIMUTH_BINS - 0.5
     relative = (entries[:, 2] + np.pi) / (2.0 * np.pi) * _RELATIVE_BINS - 0.5
-    for d_idx, d_wgt in _axis_parts(dist, _DIST_BINS, wrap=False):
-        for a_idx, a_wgt in _axis_parts(azimuth, _AZIMUTH_BINS, wrap=True):
-            for r_idx, r_wgt in _axis_parts(relative, _RELATIVE_BINS, wrap=True):
-                np.add.at(hist, (d_idx, a_idx, r_idx), d_wgt * a_wgt * r_wgt)
-    return hist.ravel() / len(entries)
+    d_parts = _axis_parts(dist, _DIST_BINS, wrap=False)
+    a_parts = _axis_parts(azimuth, _AZIMUTH_BINS, wrap=True)
+    r_parts = _axis_parts(relative, _RELATIVE_BINS, wrap=True)
+    bins, weights = [], []
+    for d_idx, d_wgt in d_parts:
+        for a_idx, a_wgt in a_parts:
+            da_bin = (d_idx * _AZIMUTH_BINS + a_idx) * _RELATIVE_BINS
+            da_wgt = d_wgt * a_wgt
+            for r_idx, r_wgt in r_parts:
+                bins.append(da_bin + r_idx)
+                weights.append(da_wgt * r_wgt)
+    hist = np.bincount(
+        np.concatenate(bins), np.concatenate(weights), minlength=_BAG_DIM
+    )
+    return hist / len(entries)
 
 
-def _spacing_stats(positions_mm: np.ndarray) -> Tuple[float, float]:
+def _spacing_stats(nearest_mm: np.ndarray) -> Tuple[float, float]:
     """Mean/std of each minutia's nearest-neighbour distance (mm).
 
     The ridge-count proxy: minutiae sit on ridges, so their typical
     spacing tracks local ridge period — without any image in sight.
     Distances are squashed through ``tanh(d / 2 mm)`` onto [0, 1].
     """
-    n = len(positions_mm)
-    if n < 2:
-        return 0.0, 0.0
-    deltas = positions_mm[:, None, :] - positions_mm[None, :, :]
-    dist = np.sqrt((deltas ** 2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    nearest = np.tanh(dist.min(axis=1) / 2.0)
+    nearest = np.tanh(nearest_mm / 2.0)
     return float(nearest.mean()), float(nearest.std())
 
 
@@ -153,17 +161,21 @@ def descriptor_vector(template: Template) -> np.ndarray:
     """
     n = len(template)
     features = template_quality_features(template)
+    entries = build_descriptors(template).entries
     if n:
         qualities = template.qualities().astype(np.float64) / 100.0
         quality_mean = float(qualities.mean())
         quality_std = float(qualities.std())
         bif_fraction = float((template.kinds() == 2).mean())
-        spacing_mean, spacing_std = _spacing_stats(template.positions_mm())
     else:
         quality_mean = quality_std = bif_fraction = 0.0
+    if n >= 2:
+        # The first neighbour entry is each minutia's nearest distance.
+        spacing_mean, spacing_std = _spacing_stats(entries[:, 0, 0])
+    else:
         spacing_mean = spacing_std = 0.0
     raw = np.concatenate([
-        _structure_histogram(template),
+        _structure_histogram(entries),
         [np.tanh(n / 60.0)],
         [bif_fraction],
         [quality_mean, quality_std],
@@ -198,34 +210,26 @@ class PrefilterIndex:
     first K rows by ``(distance, key)``, so ties are deterministic.
     """
 
-    def __init__(self, dim: int = DESCRIPTOR_DIM) -> None:
+    def __init__(self, dim: int = DESCRIPTOR_DIM, capacity: int = 0) -> None:
         if dim < 1:
             raise ConfigurationError(f"descriptor dim must be >= 1, got {dim}")
         self._dim = dim
         self._keys: List[str] = []
         self._pos: Dict[str, int] = {}
-        self._matrix = np.empty((0, dim), dtype=np.float64)
+        # ``capacity`` rows are allocated up front, so a caller that knows
+        # its row count fills the matrix without regrowing it.
+        self._matrix = np.empty((capacity, dim), dtype=np.float64)
         #: Squared norm of each row, parallel to ``_matrix``.
-        self._norms = np.empty(0, dtype=np.float64)
+        self._norms = np.empty(capacity, dtype=np.float64)
 
     @classmethod
     def from_items(
         cls, items: Dict[str, np.ndarray], dim: int = DESCRIPTOR_DIM
     ) -> "PrefilterIndex":
         """Bulk-build an index from ``{key: descriptor}``."""
-        index = cls(dim=dim)
-        if not items:
-            return index
-        index._keys = list(items)
-        index._pos = {key: i for i, key in enumerate(index._keys)}
-        index._matrix = np.ascontiguousarray(
-            np.stack([np.asarray(items[key], dtype=np.float64) for key in index._keys])
-        )
-        if index._matrix.shape[1] != dim:
-            raise ConfigurationError(
-                f"descriptors have dim {index._matrix.shape[1]}, index wants {dim}"
-            )
-        index._norms = np.einsum("ij,ij->i", index._matrix, index._matrix)
+        index = cls(dim=dim, capacity=len(items))
+        for key, vector in items.items():
+            index.add(key, vector)
         return index
 
     def __len__(self) -> int:
@@ -244,7 +248,14 @@ class PrefilterIndex:
 
     def matrix(self) -> np.ndarray:
         """The (n, dim) descriptor matrix — a contiguous copy."""
-        return np.ascontiguousarray(self._matrix[: len(self._keys)])
+        return self._matrix[: len(self._keys)].copy()
+
+    def vector(self, key: str) -> np.ndarray:
+        """One key's descriptor row (a copy, safe to keep)."""
+        slot = self._pos.get(key)
+        if slot is None:
+            raise ConfigurationError(f"prefilter index has no key {key!r}")
+        return self._matrix[slot].copy()
 
     def _check(self, vector: np.ndarray) -> np.ndarray:
         arr = np.asarray(vector, dtype=np.float64).ravel()

@@ -33,9 +33,12 @@ quality                   1         0-100
 extended data length      2         0
 ========================  ========  =====================================
 
-The codec is strict on decode: truncated or inconsistent buffers raise
+The codec is strict on decode: truncated or inconsistent buffers — and
+field values no template can hold, such as a minutia quality above 100
+or a zero image size — raise
 :class:`~repro.runtime.errors.TemplateFormatError` with a description of
-what went wrong, never a silent partial template.
+what went wrong, never a silent partial template.  The minutia rows are
+packed and parsed as one structured numpy array each way.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..matcher.types import KIND_BIFURCATION, KIND_ENDING, Minutia, Template
+from ..matcher.types import KIND_BIFURCATION, KIND_ENDING, Template, template_from_arrays
 from ..runtime.errors import TemplateFormatError
 
 _MAGIC = b"FMR\x00"
@@ -55,12 +58,19 @@ _HEADER_FMT = ">4s4sIIHHHHHBB"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 _VIEW_HEADER_FMT = ">BBBB"
 _VIEW_HEADER_SIZE = struct.calcsize(_VIEW_HEADER_FMT)
-_MINUTIA_SIZE = 6
+#: One minutia on the wire: type + x, reserved + y, angle, quality.
+_MINUTIA_DTYPE = np.dtype(
+    [("type_x", ">u2"), ("y", ">u2"), ("angle", "u1"), ("quality", "u1")]
+)
+_MINUTIA_SIZE = _MINUTIA_DTYPE.itemsize
 _FOOTER_SIZE = 2
 
-#: INCITS 378 minutia type codes.
-_TYPE_TO_CODE = {KIND_ENDING: 0b01, KIND_BIFURCATION: 0b10}
-_CODE_TO_TYPE = {0b01: KIND_ENDING, 0b10: KIND_BIFURCATION, 0b00: KIND_ENDING}
+#: INCITS 378 minutia type codes.  The 2-bit code indexes
+#: ``_CODE_TO_KIND``; code 0b00 ("other") reads as an ending and 0b11 is
+#: invalid (kind 0).
+_BIFURCATION_CODE = 0b10
+_ENDING_CODE = 0b01
+_CODE_TO_KIND = np.array([KIND_ENDING, KIND_ENDING, KIND_BIFURCATION, 0])
 
 #: Angle quantum: 360 degrees / 256.
 _ANGLE_UNIT_RAD = 2.0 * np.pi / 256.0
@@ -113,25 +123,26 @@ def encode(template: Template, metadata: RecordMetadata = RecordMetadata()) -> b
         n,
     )
 
-    body = bytearray()
-    for m in template.minutiae:
-        x = int(round(m.x))
-        y = int(round(m.y))
-        if not 0 <= x < 2**14 or not 0 <= y < 2**14:
-            raise TemplateFormatError(
-                f"minutia position ({x}, {y}) outside the 14-bit INCITS range"
-            )
-        type_code = _TYPE_TO_CODE[m.kind]
-        angle_units = int(round(np.mod(m.angle, 2 * np.pi) / _ANGLE_UNIT_RAD)) % 256
-        body += struct.pack(
-            ">HHBB",
-            (type_code << 14) | x,
-            y & 0x3FFF,
-            angle_units,
-            max(0, min(100, m.quality)),
+    xy = np.rint(template.positions_px())
+    outside = ~((xy >= 0) & (xy < 2**14)).all(axis=1)
+    if outside.any():
+        x, y = (int(v) for v in xy[int(np.argmax(outside))])
+        raise TemplateFormatError(
+            f"minutia position ({x}, {y}) outside the 14-bit INCITS range"
         )
+    rows = np.empty(n, dtype=_MINUTIA_DTYPE)
+    codes = np.where(
+        template.kinds() == KIND_BIFURCATION, _BIFURCATION_CODE, _ENDING_CODE
+    )
+    rows["type_x"] = (codes << 14) | xy[:, 0].astype(np.int64)
+    rows["y"] = xy[:, 1].astype(np.int64) & 0x3FFF
+    rows["angle"] = (
+        np.rint(np.mod(template.angles(), 2 * np.pi) / _ANGLE_UNIT_RAD).astype(np.int64)
+        % 256
+    )
+    rows["quality"] = np.clip(template.qualities(), 0, 100)
     footer = struct.pack(">H", 0)
-    return header + view + bytes(body) + footer
+    return header + view + rows.tobytes() + footer
 
 
 def decode(buffer: bytes) -> Tuple[Template, RecordMetadata]:
@@ -190,27 +201,31 @@ def decode(buffer: bytes) -> Tuple[Template, RecordMetadata]:
             f"{n_minutiae} minutiae imply {expected} bytes, buffer has {len(buffer)}"
         )
 
-    minutiae = []
-    for __ in range(n_minutiae):
-        word_x, word_y, angle_units, quality = struct.unpack_from(
-            ">HHBB", buffer, offset
+    rows = np.frombuffer(buffer, dtype=_MINUTIA_DTYPE, count=n_minutiae, offset=offset)
+    type_codes = (rows["type_x"] >> 14).astype(np.int64)
+    kinds = _CODE_TO_KIND[type_codes]
+    qualities = rows["quality"].astype(np.int64)
+    bad = (kinds == 0) | (qualities > 100)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if kinds[i] == 0:
+            raise TemplateFormatError(f"unknown minutia type code {type_codes[i]}")
+        raise TemplateFormatError(
+            f"minutia {i} has quality {qualities[i]}, outside 0..100"
         )
-        offset += _MINUTIA_SIZE
-        type_code = (word_x >> 14) & 0b11
-        if type_code not in _CODE_TO_TYPE:
-            raise TemplateFormatError(f"unknown minutia type code {type_code}")
-        minutiae.append(
-            Minutia(
-                x=float(word_x & 0x3FFF),
-                y=float(word_y & 0x3FFF),
-                angle=float(angle_units * _ANGLE_UNIT_RAD),
-                kind=_CODE_TO_TYPE[type_code],
-                quality=int(quality),
-            )
-        )
+    if width_px == 0 or height_px == 0:
+        raise TemplateFormatError(f"image size {width_px}x{height_px} is empty")
+    if res_x_ppcm == 0:
+        raise TemplateFormatError("resolution of 0 pixels per cm")
 
-    template = Template(
-        minutiae=tuple(minutiae),
+    positions = np.empty((n_minutiae, 2), dtype=np.float64)
+    positions[:, 0] = rows["type_x"] & 0x3FFF
+    positions[:, 1] = rows["y"] & 0x3FFF
+    template = template_from_arrays(
+        positions_px=positions,
+        angles=rows["angle"] * _ANGLE_UNIT_RAD,
+        kinds=kinds,
+        qualities=qualities,
         width_px=width_px,
         height_px=height_px,
         resolution_dpi=_ppcm_to_dpi(res_x_ppcm),

@@ -325,41 +325,39 @@ class SharedGalleryStore(SharedTemplateStore):
     """
 
     @classmethod
-    def pack_gallery(
-        cls, records: Dict[_GalleryKey, Any]
-    ) -> "SharedGalleryStore":
-        """Pack ``{(device, identity): record}`` into shared memory.
+    def pack_gallery(cls, gallery) -> "SharedGalleryStore":
+        """Pack every record of ``gallery`` into shared memory.
 
-        Records need ``.template`` and ``.descriptor`` (the
-        :class:`~repro.service.gallery.GalleryRecord` surface).  Keys are
+        ``gallery`` needs ``records()`` (``{(device, identity): record}``
+        with ``.template``) and ``descriptor(identity, device)`` — the
+        :class:`~repro.service.gallery.GalleryIndex` surface.  Keys are
         packed in sorted order so the block layout is deterministic for
-        a given gallery state.
+        a given gallery state; rows and descriptors are written straight
+        into the block, with no intermediate copy of either.
         """
+        records = gallery.records()
+        keys = sorted(records)
+        dim = gallery.descriptor(keys[0][1], keys[0][0]).size if keys else 0
+        n_rows = sum(len(records[key].template) for key in keys)
+        rows_bytes = n_rows * _ROW_FIELDS * 8
+        matrix_bytes = len(keys) * dim * 8
+        shm = shared_memory.SharedMemory(
+            create=True, size=max(1, rows_bytes + matrix_bytes)
+        )
+        rows = np.ndarray((n_rows, _ROW_FIELDS), dtype=np.float64, buffer=shm.buf)
+        matrix = np.ndarray(
+            (len(keys), dim), dtype=np.float64, buffer=shm.buf, offset=rows_bytes
+        )
         index: Dict[_GalleryKey, _GalleryEntry] = {}
-        blocks = []
-        descriptors = []
         offset = 0
-        dim = 0
-        for position, key in enumerate(sorted(records)):
-            record = records[key]
-            template = record.template
-            descriptor = np.asarray(record.descriptor, dtype=np.float64).ravel()
-            if dim == 0:
-                dim = descriptor.size
-            if descriptor.size != dim:
-                raise ConfigurationError(
-                    f"descriptor of {key!r} has dim {descriptor.size}, "
-                    f"expected {dim}"
-                )
+        for position, key in enumerate(keys):
+            template = records[key].template
             n = len(template)
-            rows = np.empty((n, _ROW_FIELDS), dtype=np.float64)
-            if n:
-                rows[:, 0:2] = template.positions_px()
-                rows[:, 2] = template.angles()
-                rows[:, 3] = template.kinds()
-                rows[:, 4] = template.qualities()
-            blocks.append(rows)
-            descriptors.append(descriptor)
+            rows[offset : offset + n, 0:2] = template.positions_px()
+            rows[offset : offset + n, 2] = template.angles()
+            rows[offset : offset + n, 3] = template.kinds()
+            rows[offset : offset + n, 4] = template.qualities()
+            matrix[position] = gallery.descriptor(key[1], key[0])
             index[key] = (
                 offset,
                 n,
@@ -369,38 +367,10 @@ class SharedGalleryStore(SharedTemplateStore):
                 position,
             )
             offset += n
-        rows_payload = (
-            np.concatenate(blocks, axis=0)
-            if blocks
-            else np.zeros((0, _ROW_FIELDS), dtype=np.float64)
-        )
-        matrix_payload = (
-            np.stack(descriptors)
-            if descriptors
-            else np.zeros((0, max(1, dim)), dtype=np.float64)
-        )
-        size = max(1, rows_payload.nbytes + matrix_payload.nbytes)
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        if rows_payload.size:
-            target = np.ndarray(
-                rows_payload.shape, dtype=np.float64, buffer=shm.buf
-            )
-            target[:] = rows_payload
-        if matrix_payload.size:
-            target = np.ndarray(
-                matrix_payload.shape,
-                dtype=np.float64,
-                buffer=shm.buf,
-                offset=rows_payload.nbytes,
-            )
-            target[:] = matrix_payload
         recorder = get_recorder()
         if recorder.active:
             recorder.gauge("shm.gallery.records", float(len(index)))
-            recorder.gauge(
-                "shm.gallery.bytes",
-                float(rows_payload.nbytes + matrix_payload.nbytes),
-            )
+            recorder.gauge("shm.gallery.bytes", float(rows_bytes + matrix_bytes))
         handle = GalleryStoreHandle(
             name=shm.name,
             n_rows=offset,

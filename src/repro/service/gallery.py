@@ -18,12 +18,14 @@ the serving layer keeps it a first-class axis (verify and identify
 requests address a device shard, and cross-device searches are an
 explicit choice).
 
-Each record also carries its fixed-length **prefilter descriptor**
-(:func:`repro.core.prefilter.descriptor_vector`), and every device
-shard keeps a contiguous descriptor matrix in memory — a
-:class:`~repro.core.prefilter.PrefilterIndex` derived from the loaded
-records at start-up and updated incrementally on enroll/delete.  It is
-never persisted, so it cannot disagree with the records it indexes.
+Each record's bundle also carries its fixed-length **prefilter
+descriptor** (:func:`repro.core.prefilter.descriptor_vector`), and every
+device shard keeps a contiguous descriptor matrix in memory — a
+:class:`~repro.core.prefilter.PrefilterIndex` filled row by row from the
+bundles at start-up and updated incrementally on enroll/delete.  That
+matrix is the only in-memory copy of the descriptors
+(:meth:`GalleryIndex.descriptor` reads a row); it is never persisted as
+a whole, so it cannot disagree with the records it indexes.
 
 Durability rides a :class:`~repro.runtime.wal.WriteAheadLog` under
 ``root/__wal__``: every enroll/delete is logged (and, per
@@ -72,9 +74,14 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 #: persisted descriptor matrices there; reload skips the directory.
 _INDEX_DIRNAME = "__index__"
 
-#: Directory holding the write-ahead log's segments (reserved too; the
-#: underscore names already fail the device/identity grammar).
+#: Directory holding the write-ahead log's segments (reserved too: a
+#: device of that name would write its records among the segments).
 _WAL_DIRNAME = "__wal__"
+
+_RESERVED_NAMES = {
+    _INDEX_DIRNAME: "the descriptor index",
+    _WAL_DIRNAME: "the write-ahead log",
+}
 
 #: Default NFIQ acceptance ceiling: levels 1–4 enroll, level 5 (the
 #: "hopeless sample" bucket) is rejected.  NIST SP 800-76 gates at
@@ -129,9 +136,9 @@ class GalleryReadOnlyError(PermanentError):
 class GalleryRecord:
     """One enrolled template plus its enrollment-time metadata.
 
-    ``descriptor`` is the record's prefilter vector — persisted with the
-    template so reloads never pay the descriptor build, excluded from
-    equality because numpy arrays don't compare to a bool.
+    The record's prefilter descriptor is persisted in its bundle but
+    held in memory only as a row of its device's prefilter index; read
+    it with :meth:`GalleryIndex.descriptor`.
     """
 
     identity: str
@@ -140,7 +147,6 @@ class GalleryRecord:
     nfiq_level: int
     nfiq_utility: float
     enrolled_at: float
-    descriptor: np.ndarray = field(compare=False, repr=False, default=None)
     #: WAL sequence number that durably logged this enrollment (0 for
     #: records predating the log or loaded straight from the shards).
     lsn: int = field(compare=False, default=0)
@@ -151,9 +157,9 @@ def _check_name(value: str, what: str) -> str:
         raise ConfigurationError(
             f"{what} must match [A-Za-z0-9._-]+, got {value!r}"
         )
-    if value == _INDEX_DIRNAME:
+    if value in _RESERVED_NAMES:
         raise ConfigurationError(
-            f"{what} {value!r} is reserved for the descriptor index"
+            f"{what} {value!r} is reserved for {_RESERVED_NAMES[value]}"
         )
     return value
 
@@ -191,7 +197,11 @@ def wal_enroll_payload(
 
 
 def record_from_wal(data: dict, lsn: int = 0) -> GalleryRecord:
-    """Rebuild a :class:`GalleryRecord` from an ``enroll`` WAL payload."""
+    """Rebuild a :class:`GalleryRecord` from an ``enroll`` WAL payload.
+
+    The payload carries no descriptor; callers that index the record
+    compute it with :func:`~repro.core.prefilter.descriptor_vector`.
+    """
     try:
         spec = data["template"]
         template = template_from_arrays(
@@ -210,7 +220,6 @@ def record_from_wal(data: dict, lsn: int = 0) -> GalleryRecord:
             nfiq_level=int(data["nfiq_level"]),
             nfiq_utility=float(data["nfiq_utility"]),
             enrolled_at=float(data["enrolled_at"]),
-            descriptor=descriptor_vector(template),
             lsn=int(lsn),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -275,7 +284,6 @@ class GalleryIndex:
         self._reload()
         if self._wal is not None:
             self._replay_wal()
-        self._build_indexes()
 
     # ------------------------------------------------------------------
     # Persistence plumbing
@@ -292,25 +300,36 @@ class GalleryIndex:
         return shard
 
     def _reload(self) -> None:
-        """Rebuild the in-memory index from whatever survives on disk."""
+        """Rebuild the records and prefilter indexes from the shards.
+
+        Each device's index is sized to its bundle count up front and
+        filled with each bundle's descriptor as it is read, so no
+        descriptor is held twice.
+        """
         if not self._root.exists():
             return
         loaded = 0
         dropped = 0
         for device_dir in sorted(p for p in self._root.iterdir() if p.is_dir()):
             device = device_dir.name
-            if device == _INDEX_DIRNAME or not _NAME_RE.match(device):
+            if device in _RESERVED_NAMES or not _NAME_RE.match(device):
                 continue
             shard = self._shard(device)
-            for identity in shard.keys():
-                if not _NAME_RE.match(identity):
-                    continue
-                record = self._load_record(shard, device, identity)
-                if record is None:
+            identities = [i for i in shard.keys() if _NAME_RE.match(i)]
+            if not identities:
+                continue
+            index = PrefilterIndex(capacity=len(identities))
+            for identity in identities:
+                loaded_record = self._load_record(shard, device, identity)
+                if loaded_record is None:
                     dropped += 1
                     continue
+                record, descriptor = loaded_record
                 self._records[(device, identity)] = record
+                index.add(identity, descriptor)
                 loaded += 1
+            if len(index):
+                self._indexes[device] = index
         self.corrupt_dropped = dropped
         if dropped:
             get_recorder().count("gallery.corrupt_dropped", dropped)
@@ -343,8 +362,10 @@ class GalleryIndex:
                 if self._already_applied(rec.data):
                     continue
                 record = record_from_wal(rec.data, lsn=rec.lsn)
-                self._store_record(record)
+                descriptor = descriptor_vector(record.template)
+                self._store_record(record, descriptor)
                 self._records[(record.device, record.identity)] = record
+                self._index(record.device).add(record.identity, descriptor)
                 applied += 1
             elif rec.op == "delete":
                 try:
@@ -354,7 +375,7 @@ class GalleryIndex:
                         f"WAL delete record missing field: {exc}"
                     ) from exc
                 if key in self._records:
-                    del self._records[key]
+                    self._forget(*key)
                     self._shard(key[0]).invalidate(key[1])
                     applied += 1
             else:
@@ -395,7 +416,8 @@ class GalleryIndex:
 
     def _load_record(
         self, shard: NpzDirectory, device: str, identity: str
-    ) -> Optional[GalleryRecord]:
+    ) -> Optional[Tuple[GalleryRecord, np.ndarray]]:
+        """One bundle's record and descriptor; ``None`` if unreadable."""
         arrays, meta = shard.load_entry(identity) or (None, None)
         if meta is None:
             return None
@@ -420,21 +442,23 @@ class GalleryIndex:
             descriptor is None
             or descriptor.shape != (DESCRIPTOR_DIM,)
             or int(meta.get("descriptor_version", 0)) != DESCRIPTOR_VERSION
+            or not np.isfinite(descriptor).all()
         ):
             # Records written before the prefilter (or under another
-            # descriptor layout) are upgraded in memory; the next store
-            # of that identity persists the fresh vector.
+            # descriptor layout, or with a vector the index would refuse)
+            # are upgraded in memory; the next store of that identity
+            # persists the fresh vector.
             descriptor = descriptor_vector(template)
             get_recorder().count("gallery.descriptor_recomputed")
-        return GalleryRecord(
+        record = GalleryRecord(
             identity=identity,
             device=device,
             template=template,
             nfiq_level=int(meta.get("nfiq_level", 0)) or assess_template(template).level,
             nfiq_utility=float(meta.get("nfiq_utility", 0.0)),
             enrolled_at=float(meta.get("enrolled_at", 0.0)),
-            descriptor=np.asarray(descriptor, dtype=np.float64),
         )
+        return record, descriptor
 
     # ------------------------------------------------------------------
     # Descriptor index maintenance
@@ -446,20 +470,17 @@ class GalleryIndex:
             self._indexes[device] = index
         return index
 
-    def _build_indexes(self) -> None:
-        """Derive every device's prefilter index from the loaded records."""
-        items: Dict[str, Dict[str, np.ndarray]] = {}
-        for (device, identity), record in sorted(self._records.items()):
-            items.setdefault(device, {})[identity] = record.descriptor
-        self._indexes = {
-            device: PrefilterIndex.from_items(descriptors)
-            for device, descriptors in items.items()
-        }
+    def _forget(self, device: str, identity: str) -> None:
+        """Drop one record and its index row from memory."""
+        del self._records[(device, identity)]
+        index = self._indexes.get(device)
+        if index is not None and identity in index:
+            index.remove(identity)
 
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def _store_record(self, record: GalleryRecord) -> None:
+    def _store_record(self, record: GalleryRecord, descriptor: np.ndarray) -> None:
         """Write one record's shard entry (atomic)."""
         template = record.template
         self._shard(record.device).store(
@@ -469,7 +490,7 @@ class GalleryIndex:
                 "angles": template.angles(),
                 "kinds": template.kinds(),
                 "qualities": template.qualities(),
-                "descriptor": record.descriptor,
+                "descriptor": descriptor,
             },
             meta={
                 "identity": record.identity,
@@ -537,10 +558,9 @@ class GalleryIndex:
             nfiq_level=assessment.level,
             nfiq_utility=assessment.utility,
             enrolled_at=enrolled_at,
-            descriptor=descriptor,
             lsn=lsn,
         )
-        self._store_record(record)
+        self._store_record(record, descriptor)
         self._records[(device, identity)] = record
         self._index(device).add(identity, descriptor)
         self._maybe_checkpoint(lsn)
@@ -564,11 +584,8 @@ class GalleryIndex:
             lsn = self._wal.append(
                 "delete", {"identity": identity, "device": device}
             )
-        del self._records[(device, identity)]
+        self._forget(device, identity)
         self._shard(device).invalidate(identity)
-        index = self._index(device)
-        if identity in index:
-            index.remove(identity)
         self._maybe_checkpoint(lsn)
         get_recorder().count("gallery.deleted")
         return lsn
@@ -592,7 +609,9 @@ class GalleryIndex:
             key = (rebuilt.device, rebuilt.identity)
             existing = self._records.get(key)
             self._records[key] = rebuilt
-            self._index(rebuilt.device).add(rebuilt.identity, rebuilt.descriptor)
+            self._index(rebuilt.device).add(
+                rebuilt.identity, descriptor_vector(rebuilt.template)
+            )
             if existing is not None and existing.enrolled_at == rebuilt.enrolled_at:
                 return None
             return ("enroll", rebuilt.device, rebuilt.identity, rebuilt)
@@ -602,10 +621,7 @@ class GalleryIndex:
             key = (device, identity)
             if key not in self._records:
                 return None
-            del self._records[key]
-            index = self._index(device)
-            if identity in index:
-                index.remove(identity)
+            self._forget(device, identity)
             return ("delete", device, identity, None)
         _log.warning(
             "unknown WAL op skipped",
@@ -632,8 +648,8 @@ class GalleryIndex:
             raise GalleryReadOnlyError("rebootstrap")
         self._records.clear()
         self._shards.clear()
+        self._indexes.clear()
         self._reload()
-        self._build_indexes()
         get_recorder().count("gallery.rebootstraps")
         return len(self._records)
 
@@ -778,6 +794,13 @@ class GalleryIndex:
         mid-pack.
         """
         return dict(self._records)
+
+    def descriptor(self, identity: str, device: str = "default") -> np.ndarray:
+        """One enrolled record's prefilter descriptor (a copy of its row)."""
+        index = self._indexes.get(device)
+        if index is None or identity not in index:
+            raise UnknownIdentityError(identity, device)
+        return index.vector(identity)
 
     def descriptor_matrix(self, device: str) -> np.ndarray:
         """One shard's contiguous (n, dim) descriptor matrix (a copy)."""

@@ -454,8 +454,8 @@ class VerificationServer:
                 if self._live_pool is not None:
                     if op == "enroll":
                         await self.pool.apply_enroll(
-                            device, identity,
-                            record.template, record.descriptor,
+                            device, identity, record.template,
+                            self.gallery.descriptor(identity, device),
                             lsn=rec.lsn,
                         )
                     else:
@@ -1174,7 +1174,8 @@ class VerificationServer:
             # so a follow-up verify against this identity cannot race a
             # not-yet-delivered delta.
             await self.pool.apply_enroll(
-                device, identity, record.template, record.descriptor,
+                device, identity, record.template,
+                self.gallery.descriptor(identity, device),
                 lsn=record.lsn,
             )
         return 201, {

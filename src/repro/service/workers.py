@@ -521,7 +521,7 @@ class WorkerPool:
         """Pack the gallery snapshot, spawn the pool, start the batchers."""
         if faults.faults_requested():
             faults.ensure_ledger()
-        self._store = SharedGalleryStore.pack_gallery(self._gallery.records())
+        self._store = SharedGalleryStore.pack_gallery(self._gallery)
         loop = asyncio.get_running_loop()
         self._fanout = ThreadPoolExecutor(
             max_workers=self._config.workers,

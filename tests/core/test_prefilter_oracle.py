@@ -1,4 +1,7 @@
-"""``PrefilterIndex.top_k`` against its plain formulation, bit for bit.
+"""The prefilter against its plain formulations, bit for bit.
+
+``descriptor_vector`` must return the frozen reference's bytes on more
+than a thousand templates, including the ones with 0, 1 and 2 minutiae.
 
 The index ranks rows through cached norms and one matrix-vector
 product, and recomputes exact distances only near the K-th place.
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.prefilter import DESCRIPTOR_DIM, PrefilterIndex, descriptor_vector
+from repro.matcher.types import template_from_arrays
 
 from . import reference_prefilter as ref
 from .test_prefilter import _device_view, _random_template
@@ -118,3 +122,33 @@ class TestPerfbenchStyleGallery:
         for identity in rng.choice(len(fingers), size=12, replace=False):
             probe = descriptor_vector(_device_view(fingers[identity], rng))
             _assert_matches_oracle(index, rows, probe, (1, 8, 32, 256, 258))
+
+
+class TestDescriptorOracle:
+    """``descriptor_vector`` returns the frozen reference's bytes."""
+
+    def test_bytes_match_reference(self):
+        rng = np.random.default_rng(378)
+        templates = [
+            _random_template(rng, n_min=n, n_max=n)
+            for n in (0, 0, 1, 1, 2, 2, 3, 4)
+        ]
+        templates += [_random_template(rng, n_min=0, n_max=80) for _ in range(900)]
+        fingers = [_random_template(rng) for _ in range(64)]
+        templates += [_device_view(f, rng) for f in fingers]
+        templates += [_device_view(f, rng, **ENROLL_NOISE) for f in fingers]
+        # Coincident minutiae: tied nearest distances, zero spacing.
+        twin = _random_template(rng, n_min=10, n_max=10)
+        templates.append(template_from_arrays(
+            positions_px=np.repeat(twin.positions_px(), 2, axis=0),
+            angles=np.repeat(twin.angles(), 2),
+            kinds=np.repeat(twin.kinds(), 2),
+            qualities=np.repeat(twin.qualities(), 2),
+            width_px=300, height_px=400,
+        ))
+        assert len(templates) >= 1000
+        for template in templates:
+            assert (
+                descriptor_vector(template).tobytes()
+                == ref.descriptor_vector(template).tobytes()
+            ), len(template)

@@ -123,3 +123,68 @@ class TestDecodeStrictness:
         )
         with pytest.raises(TemplateFormatError, match="imply"):
             decode(corrupted)
+
+
+def _columns(template):
+    return (
+        template.positions_px(), template.angles(), template.kinds(),
+        template.qualities(),
+    )
+
+
+class TestFuzz:
+    """Damaged records decode or raise TemplateFormatError, nothing else."""
+
+    @staticmethod
+    def _decodes_or_refuses(buffer):
+        try:
+            template, __ = decode(buffer)
+        except TemplateFormatError:
+            return
+        # Whatever decodes is a valid template that encodes back.
+        assert decode(encode(template))[0] == template
+
+    @given(template_strategy, st.integers(min_value=1, max_value=255))
+    @settings(max_examples=25, deadline=None)
+    def test_every_single_byte_flip(self, template, mask):
+        record = encode(template)
+        for offset in range(len(record)):
+            flipped = bytearray(record)
+            flipped[offset] ^= mask
+            self._decodes_or_refuses(bytes(flipped))
+
+    @given(template_strategy)
+    @settings(max_examples=25, deadline=None)
+    def test_every_truncation(self, template):
+        record = encode(template)
+        for end in range(len(record)):
+            self._decodes_or_refuses(record[:end])
+
+    @pytest.mark.parametrize("quality", [101, 200, 255])
+    def test_quality_over_100_is_a_format_error(self, quality):
+        template = Template(
+            minutiae=(Minutia(5.0, 6.0, 0.0, KIND_ENDING, 50),),
+            width_px=800, height_px=750,
+        )
+        record = bytearray(encode(template))
+        record[-3] = quality  # the only minutia's quality byte
+        with pytest.raises(TemplateFormatError, match="quality"):
+            decode(bytes(record))
+
+    @pytest.mark.parametrize("offset", [18, 20])
+    def test_zero_image_size_is_a_format_error(self, offset):
+        template = Template(minutiae=(), width_px=256, height_px=256)
+        record = bytearray(encode(template))
+        record[offset] = 0  # high byte of the width (18) or height (20)
+        with pytest.raises(TemplateFormatError, match="image size"):
+            decode(bytes(record))
+
+    @given(template_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_keeps_columns_at_wire_precision(self, template):
+        decoded, __ = decode(encode(template))
+        assert decoded == template
+        for got, want in zip(_columns(decoded), _columns(template)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert decode(encode(decoded))[0] == decoded

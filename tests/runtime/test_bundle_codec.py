@@ -184,10 +184,12 @@ class TestOlderLayout:
         assert reborn.records() == before
         for (device, identity), record in before.items():
             np.testing.assert_array_equal(
-                reborn.get(identity, device=device).descriptor, record.descriptor
+                reborn.descriptor(identity, device=device),
+                gallery.descriptor(identity, device=device),
             )
             np.testing.assert_array_equal(
-                record.descriptor, descriptor_vector(record.template)
+                reborn.descriptor(identity, device=device),
+                descriptor_vector(record.template),
             )
         assert reborn.prefilter(probe, device="D0", k=2) == shortlist
 

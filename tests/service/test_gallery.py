@@ -330,9 +330,13 @@ class TestDescriptorIndex:
 
     def test_enroll_stores_descriptor_on_record(self, gallery, tiny_collection):
         template = tiny_collection.get(0, FINGER, "D0", 0).template
-        record = gallery.enroll("subject-0", template, device="D0")
-        assert record.descriptor.shape == (DESCRIPTOR_DIM,)
-        np.testing.assert_allclose(record.descriptor, descriptor_vector(template))
+        gallery.enroll("subject-0", template, device="D0")
+        # The index row is the record's only in-memory descriptor.
+        descriptor = gallery.descriptor("subject-0", device="D0")
+        assert descriptor.shape == (DESCRIPTOR_DIM,)
+        np.testing.assert_array_equal(descriptor, descriptor_vector(template))
+        with pytest.raises(UnknownIdentityError):
+            gallery.descriptor("subject-0", device="D1")
 
     def test_matrix_tracks_enrollment(self, populated):
         matrix = populated.descriptor_matrix("D0")
@@ -387,7 +391,7 @@ class TestDescriptorIndex:
             )
         probe = tiny_collection.get(0, FINGER, "D0", 1).template
         vector = descriptor_vector(probe)
-        with SharedGalleryStore.pack_gallery(gallery.records()) as store:
+        with SharedGalleryStore.pack_gallery(gallery) as store:
             view = SharedGalleryView.attach(store.handle())
             try:
                 shards = [_WorkerShard(view, w, n_workers) for w in range(n_workers)]
@@ -426,6 +430,24 @@ class TestDescriptorIndex:
             gallery.enroll("__index__", template)
         with pytest.raises(ConfigurationError):
             gallery.enroll("fine", template, device="__index__")
+
+    def test_wal_directory_name_reserved(self, tmp_path, tiny_collection):
+        root = tmp_path / "gallery"
+        template = tiny_collection.get(0, FINGER, "D0", 0).template
+        with GalleryIndex(root) as gallery:
+            with pytest.raises(ConfigurationError, match="write-ahead log"):
+                gallery.enroll("a", template, device="__wal__")
+            with pytest.raises(ConfigurationError, match="write-ahead log"):
+                gallery.enroll("__wal__", template, device="D0")
+            gallery.enroll("a", template, device="D0")
+        assert not (root / "__wal__" / "a.npz").exists()
+        # A record bundle planted among the WAL segments (as an older
+        # version wrote one) is not a device shard.
+        (root / "__wal__" / "a.npz").write_bytes((root / "D0" / "a.npz").read_bytes())
+        with GalleryIndex(root) as reborn:
+            assert reborn.devices() == ["D0"]
+            assert len(reborn) == 1
+            assert reborn.size() == 1
 
 
 class TestDescriptorPersistence:
@@ -595,6 +617,7 @@ class TestDescriptorPersistence:
         reborn = GalleryIndex(root)
         record = reborn.get("subject-0", device="D0")
         np.testing.assert_allclose(
-            record.descriptor, descriptor_vector(record.template)
+            reborn.descriptor("subject-0", device="D0"),
+            descriptor_vector(record.template),
         )
         assert reborn.descriptor_matrix("D0").shape == (1, DESCRIPTOR_DIM)

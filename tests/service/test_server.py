@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from repro.io.incits378 import encode as encode_378
+from repro.matcher.types import Minutia
 from repro.service import (
     BatchingConfig,
     EXPOSITION_CONTENT_TYPE,
@@ -31,6 +33,10 @@ from .test_batching import GatedMatcher
 
 FINGER = "right_index"
 SUBJECTS = (0, 1, 2)
+
+#: Byte offset of the first minutia's quality in an INCITS 378 record
+#: (28-byte record header, 4-byte view header, then x, y, angle, quality).
+_FIRST_MINUTIA_QUALITY = 28 + 4 + 5
 
 
 def _wait_for_queue(server, jobs):
@@ -508,6 +514,27 @@ class TestErrorEnvelope:
         self._assert_envelope(excinfo.value, 400, "invalid_template")
         assert excinfo.value.kind == "TemplateFormatError"
 
+    @pytest.mark.parametrize("endpoint", ["verify", "identify", "enroll"])
+    def test_400_minutia_quality_over_100(self, live, tiny_collection, endpoint):
+        # A well-formed record whose first minutia's quality byte is 101:
+        # the codec refuses it, so the server answers 400, not 500.
+        record = bytearray(
+            encode_378(tiny_collection.get(0, FINGER, "D0", 1).template)
+        )
+        record[_FIRST_MINUTIA_QUALITY] = 101
+        with pytest.raises(ServiceClientError) as excinfo:
+            live._request(
+                "POST",
+                f"/v1/{endpoint}",
+                {
+                    "identity": "subject-9",
+                    "device": "D0",
+                    "template": base64.b64encode(bytes(record)).decode("ascii"),
+                },
+            )
+        self._assert_envelope(excinfo.value, 400, "invalid_template")
+        assert excinfo.value.kind == "TemplateFormatError"
+
     def test_413_oversized_body(self, live):
         connection = live._connect()
         connection.request(
@@ -655,6 +682,41 @@ class TestTwoStageIdentify:
         assert sample_value(
             families, "repro_identify_prefilter_seconds_count", {}
         ) >= 1
+
+
+class TestArrayTemplates:
+    def test_reload_and_two_stage_identify_build_no_minutia(
+        self, tmp_path, tiny_collection, matcher, monkeypatch
+    ):
+        # Templates are held as columns end to end: reloading a gallery
+        # and serving a two-stage identify construct no Minutia at all.
+        root = tmp_path / "gallery"
+        with GalleryIndex(root) as gallery:
+            for sid in SUBJECTS:
+                for device in ("D0", "D1"):
+                    gallery.enroll(
+                        f"subject-{sid}",
+                        tiny_collection.get(sid, FINGER, device, 0).template,
+                        device=device,
+                    )
+        probe = tiny_collection.get(0, FINGER, "D0", 1).template
+        built = []
+        real_init = Minutia.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Minutia, "__init__", counting_init)
+        server = _server(GalleryIndex(root), matcher, identify_mode="two_stage")
+        with ServiceRunner(server) as (host, port):
+            with ServiceClient(host, port) as client:
+                reply = client.identify(probe, device=None, candidate_k=4)
+        assert reply["search"]["mode"] == "two_stage"
+        assert reply["candidates"][0]["identity"] == "subject-0"
+        assert built == []
+        # The counter itself works.
+        assert len(probe.minutiae) == len(built) > 0
 
 
 class TestRetryAfterBackoff:
