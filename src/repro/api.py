@@ -1,75 +1,49 @@
-"""The stable public API of the reproduction.
+"""The import surface of the reproduction.
 
-``repro.api`` is the one import surface downstream code — the CLI, the
-examples, the benchmark suite, notebooks — should use.  It provides:
+``repro.api`` is where the CLI, the examples and the benchmarks import
+from.  It provides:
 
 * **Study entry points**: :func:`run_study`, :func:`load_scores` and
   :func:`compare_devices`, which cover the common workflows (run the
   experiment, reuse cached scores, interrogate one device pair) without
   reaching into :mod:`repro.core.study` internals;
-* **Curated re-exports** of every class, function and constant the
-  workflows compose with (configuration, sensors, matcher, statistics,
-  report renderers), so one ``from repro.api import ...`` line replaces
-  a half-dozen deep-module imports.
+* **Re-exports** of the classes, functions and constants those callers
+  compose with (configuration, sensors, matcher, statistics, report
+  renderers), so one ``from repro.api import ...`` line replaces a
+  half-dozen deep-module imports.
 
-Deep imports (``repro.core.study``, ``repro.stats.roc``, ...) keep
-working — they are the implementation, not the contract — but only the
-names exported here are covered by the deprecation policy: anything
-re-exported from ``repro.api`` survives internal refactors.
-
-Legacy top-level imports (``from repro import InteroperabilityStudy``)
-still work but emit :class:`DeprecationWarning`; see ``docs/api.md`` for
-the migration table.
+A name is re-exported here only while some caller imports it through
+this module.  Every deep module (``repro.core.study``,
+``repro.service.server``, ...) is importable as well; anything not
+listed in ``__all__`` lives there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 # --- configuration / runtime ------------------------------------------------
-from .runtime.artifacts import ArtifactStore, canonical_digest
+from .runtime.artifacts import ArtifactStore
 from .runtime.cache import ScoreCache
-from .runtime.config import (
-    DEFAULT_SUBJECT_COUNT,
-    PAPER_SUBJECT_COUNT,
-    StudyConfig,
-    resolve_worker_count,
-)
-from .runtime.errors import (
-    ConfigurationError,
-    MatcherError,
-    PermanentError,
-    ReproError,
-    TransientError,
-    classify_failure,
-)
-from .runtime.faults import FaultInjector, parse_faults
+from .runtime.config import StudyConfig
+from .runtime.errors import ConfigurationError
 from .runtime.manifest import RunManifest, render_manifest, validate_manifest
-from .runtime.parallel import parallel_map, parallel_map_batched
 from .runtime.progress import ProgressReporter
 from .runtime.rng import SeedTree
-from .runtime.shm import SharedTemplateStore, SharedTemplateView
-from .runtime.supervisor import RetryPolicy, supervised_map_batched
 from .runtime.telemetry import (
     TelemetryRecorder,
-    TraceContext,
     configure_logging,
-    current_trace,
     disable_telemetry,
     enable_telemetry,
     get_recorder,
-    new_request_id,
-    trace_request,
 )
 
 # --- study engine -----------------------------------------------------------
 from .core.error_rates import (
     TABLE5_FMR,
-    TABLE6_FMR,
-    TABLE6_MAX_NFIQ,
     diagonal_dominance_violations,
     fnmr_interoperability_matrix,
     mean_interoperability_penalty,
@@ -80,19 +54,9 @@ from .core.habituation import (
     render_habituation,
 )
 from .core.identification import (
-    DEFAULT_CANDIDATE_K,
-    IDENTIFY_MODES,
-    SearchReport,
-    TwoStageIdentifier,
     cross_device_cmc,
     open_set_rates,
     rank_candidates,
-    rank_candidates_scalar,
-)
-from .core.prefilter import (
-    DESCRIPTOR_DIM,
-    PrefilterIndex,
-    descriptor_vector,
 )
 from .core.kendall_analysis import (
     asymmetry_count,
@@ -138,14 +102,11 @@ from .calibration import (
 )
 from .datasets import (
     build_collection,
-    load_quality_arrays,
     render_collection_summary,
-    subject_artifact_digest,
     summarize_collection,
     warm_artifacts,
 )
 from .imaging import (
-    ImagePipeline,
     RenderSettings,
     extract_template,
     recovery_metrics,
@@ -153,60 +114,17 @@ from .imaging import (
     to_uint8,
 )
 from .io.incits378 import RecordMetadata, decode, encode
-from .matcher import (
-    BioEngineMatcher,
-    Minutia,
-    RidgeGeometryMatcher,
-    Template,
-    build_matcher,
-)
+from .matcher import BioEngineMatcher, RidgeGeometryMatcher, build_matcher
 from .matcher.alignment import candidate_pairs, estimate_alignments
 from .matcher.descriptors import build_descriptors, similarity_matrix
 from .matcher.pairing import pair_minutiae
 from .matcher.scoring import compute_score
-from .pipeline import (
-    EnrolledRecord,
-    InteropAwareVerifier,
-    TemplateDatabase,
-    Verifier,
-)
+from .pipeline import EnrolledRecord, TemplateDatabase, Verifier
 from .pipeline.verifier import train_interop_verifier_from_study
-from .quality import (
-    QualityFeatures,
-    assess_template,
-    nfiq_level,
-    template_quality_features,
-)
-from .service import (
-    BatchingConfig,
-    EnrollmentRejected,
-    GalleryIndex,
-    GalleryReadOnlyError,
-    GalleryRecord,
-    MicroBatcher,
-    RequestLog,
-    ServerStartupError,
-    ServiceClient,
-    ServiceClientError,
-    ServiceStats,
-    UnknownIdentityError,
-    VerificationServer,
-    WorkerPool,
-    WorkerPoolConfig,
-    WorkerPoolDegradedError,
-    encode_template,
-    iter_reqlog,
-    parse_exposition,
-    render_exposition,
-    shard_of,
-)
 from .sensors import (
     DEVICE_ORDER,
     DEVICE_PROFILES,
     LIVESCAN_DEVICES,
-    Impression,
-    InkCardSensor,
-    OpticalSensor,
     ProtocolSettings,
     build_sensor,
 )
@@ -397,12 +315,8 @@ __all__ = [
     "run_study",
     "load_scores",
     "compare_devices",
-    "StudyResult",
-    "DeviceComparison",
     # study engine
     "InteroperabilityStudy",
-    "ScoreSet",
-    "SCENARIOS",
     "GALLERY_SET",
     "PROBE_SET",
     "enumerate_dmg_jobs",
@@ -418,19 +332,9 @@ __all__ = [
     "diagonal_dominance_violations",
     "mean_interoperability_penalty",
     "TABLE5_FMR",
-    "TABLE6_FMR",
-    "TABLE6_MAX_NFIQ",
     "cross_device_cmc",
     "open_set_rates",
     "rank_candidates",
-    "rank_candidates_scalar",
-    "DEFAULT_CANDIDATE_K",
-    "IDENTIFY_MODES",
-    "SearchReport",
-    "TwoStageIdentifier",
-    "DESCRIPTOR_DIM",
-    "PrefilterIndex",
-    "descriptor_vector",
     "control_by_presentation",
     "first_vs_last",
     "render_habituation",
@@ -446,12 +350,7 @@ __all__ = [
     "render_det",
     # configuration / runtime
     "StudyConfig",
-    "DEFAULT_SUBJECT_COUNT",
-    "PAPER_SUBJECT_COUNT",
-    "resolve_worker_count",
-    "ScoreCache",
     "ArtifactStore",
-    "canonical_digest",
     "SeedTree",
     "ProgressReporter",
     "RunManifest",
@@ -462,29 +361,10 @@ __all__ = [
     "disable_telemetry",
     "get_recorder",
     "configure_logging",
-    "TraceContext",
-    "current_trace",
-    "new_request_id",
-    "trace_request",
-    "parallel_map",
-    "parallel_map_batched",
-    "supervised_map_batched",
-    "RetryPolicy",
-    "SharedTemplateStore",
-    "SharedTemplateView",
-    "FaultInjector",
-    "parse_faults",
-    "ReproError",
     "ConfigurationError",
-    "MatcherError",
-    "TransientError",
-    "PermanentError",
-    "classify_failure",
     # data and models
     "build_collection",
     "warm_artifacts",
-    "subject_artifact_digest",
-    "load_quality_arrays",
     "summarize_collection",
     "render_collection_summary",
     "Population",
@@ -500,49 +380,17 @@ __all__ = [
     "extract_template",
     "recovery_metrics",
     "to_uint8",
-    "ImagePipeline",
     "BioEngineMatcher",
     "RidgeGeometryMatcher",
     "build_matcher",
-    "Template",
-    "Minutia",
     "candidate_pairs",
     "estimate_alignments",
     "build_descriptors",
     "similarity_matrix",
     "pair_minutiae",
     "compute_score",
-    "QualityFeatures",
-    "nfiq_level",
-    "assess_template",
-    "template_quality_features",
-    # online serving layer
-    "VerificationServer",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceStats",
-    "GalleryIndex",
-    "GalleryReadOnlyError",
-    "GalleryRecord",
-    "BatchingConfig",
-    "MicroBatcher",
-    "EnrollmentRejected",
-    "UnknownIdentityError",
-    "ServerStartupError",
-    "encode_template",
-    "RequestLog",
-    "iter_reqlog",
-    "render_exposition",
-    "parse_exposition",
-    "WorkerPool",
-    "WorkerPoolConfig",
-    "WorkerPoolDegradedError",
-    "shard_of",
-    "Impression",
     "ProtocolSettings",
     "build_sensor",
-    "OpticalSensor",
-    "InkCardSensor",
     "DEVICE_ORDER",
     "DEVICE_PROFILES",
     "LIVESCAN_DEVICES",
@@ -552,7 +400,6 @@ __all__ = [
     "EnrolledRecord",
     "TemplateDatabase",
     "Verifier",
-    "InteropAwareVerifier",
     "train_interop_verifier_from_study",
     "DeviceInferenceModel",
     "d_prime",

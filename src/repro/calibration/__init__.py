@@ -6,51 +6,22 @@
 * score-level fusion across fingers and matchers.
 """
 
-from .device_inference import DeviceInferenceModel, GaussianMixture
+from .device_inference import DeviceInferenceModel
 from .fusion import (
-    FUSION_RULES,
     d_prime,
-    max_fusion,
-    min_fusion,
-    product_fusion,
     separability_weights,
     sum_fusion,
     weighted_sum_fusion,
 )
-from .score_norm import (
-    GOOD_QUALITY,
-    POOR_QUALITY,
-    LLRNormalizer,
-    ZNormalizer,
-    quality_band,
-)
-from .tps import (
-    MIN_CONTROL_POINTS,
-    ThinPlateSpline,
-    apply_tps_to_template,
-    control_points_from_matches,
-    fit_tps,
-)
+from .tps import apply_tps_to_template, control_points_from_matches, fit_tps
 
 __all__ = [
-    "ThinPlateSpline",
     "fit_tps",
     "control_points_from_matches",
     "apply_tps_to_template",
-    "MIN_CONTROL_POINTS",
     "DeviceInferenceModel",
-    "GaussianMixture",
-    "ZNormalizer",
-    "LLRNormalizer",
-    "quality_band",
-    "GOOD_QUALITY",
-    "POOR_QUALITY",
     "sum_fusion",
-    "max_fusion",
-    "min_fusion",
-    "product_fusion",
     "weighted_sum_fusion",
     "d_prime",
     "separability_weights",
-    "FUSION_RULES",
 ]

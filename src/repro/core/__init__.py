@@ -1,124 +1,1 @@
 """The paper's study engine: score scenarios, error matrices, analyses."""
-
-from .error_rates import (
-    TABLE5_FMR,
-    TABLE6_FMR,
-    TABLE6_MAX_NFIQ,
-    diagonal_dominance_violations,
-    fnmr_interoperability_matrix,
-    matrix_as_dict,
-    mean_interoperability_penalty,
-)
-from .kendall_analysis import (
-    TABLE4_COLS,
-    TABLE4_ROWS,
-    asymmetry_count,
-    insignificant_pairs,
-    kendall_matrix,
-    pvalue_matrix,
-)
-from .quality_analysis import (
-    LOW_SCORE_THRESHOLD,
-    good_quality_low_score_fraction,
-    low_score_quality_surface,
-    quality_filtered_fnmr_matrix,
-    surface_mass_by_worst_quality,
-)
-from .identification import (
-    DEFAULT_CANDIDATE_K,
-    IDENTIFY_MODES,
-    CmcCurve,
-    SearchReport,
-    TwoStageIdentifier,
-    cmc_curve,
-    cross_device_cmc,
-    open_set_rates,
-    rank_candidates,
-    run_identification,
-)
-from .prefilter import (
-    DESCRIPTOR_DIM,
-    DESCRIPTOR_VERSION,
-    PrefilterCandidate,
-    PrefilterIndex,
-    descriptor_vector,
-    merge_shard_candidates,
-)
-from .prediction import FnmPrediction, FnmrPredictor
-from .report import (
-    render_figure1,
-    render_figure4,
-    render_figure5,
-    render_fnmr_matrix,
-    render_score_histograms,
-    render_table1,
-    render_table3,
-    render_table4,
-)
-from .scores import (
-    SCENARIOS,
-    ScoreSet,
-    enumerate_ddmg_jobs,
-    enumerate_dmg_jobs,
-    expected_counts,
-    run_jobs,
-    sample_ddmi_jobs,
-    sample_dmi_jobs,
-)
-from .study import InteroperabilityStudy
-
-__all__ = [
-    "InteroperabilityStudy",
-    "FnmrPredictor",
-    "FnmPrediction",
-    "CmcCurve",
-    "cmc_curve",
-    "cross_device_cmc",
-    "open_set_rates",
-    "rank_candidates",
-    "run_identification",
-    "DEFAULT_CANDIDATE_K",
-    "IDENTIFY_MODES",
-    "SearchReport",
-    "TwoStageIdentifier",
-    "DESCRIPTOR_DIM",
-    "DESCRIPTOR_VERSION",
-    "PrefilterCandidate",
-    "PrefilterIndex",
-    "descriptor_vector",
-    "merge_shard_candidates",
-    "ScoreSet",
-    "SCENARIOS",
-    "enumerate_dmg_jobs",
-    "enumerate_ddmg_jobs",
-    "sample_dmi_jobs",
-    "sample_ddmi_jobs",
-    "expected_counts",
-    "run_jobs",
-    "fnmr_interoperability_matrix",
-    "diagonal_dominance_violations",
-    "mean_interoperability_penalty",
-    "matrix_as_dict",
-    "TABLE5_FMR",
-    "TABLE6_FMR",
-    "TABLE6_MAX_NFIQ",
-    "kendall_matrix",
-    "pvalue_matrix",
-    "insignificant_pairs",
-    "asymmetry_count",
-    "TABLE4_ROWS",
-    "TABLE4_COLS",
-    "quality_filtered_fnmr_matrix",
-    "low_score_quality_surface",
-    "good_quality_low_score_fraction",
-    "surface_mass_by_worst_quality",
-    "LOW_SCORE_THRESHOLD",
-    "render_table1",
-    "render_table3",
-    "render_table4",
-    "render_fnmr_matrix",
-    "render_figure1",
-    "render_score_histograms",
-    "render_figure4",
-    "render_figure5",
-]

@@ -9,7 +9,7 @@ earlier run already measured.
 
 Typical use::
 
-    from repro import InteroperabilityStudy, StudyConfig
+    from repro.api import InteroperabilityStudy, StudyConfig
 
     study = InteroperabilityStudy(StudyConfig(n_subjects=80))
     sets = study.score_sets()          # DMG / DMI / DDMG / DDMI

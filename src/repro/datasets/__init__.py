@@ -1,27 +1,18 @@
 """Dataset assembly: the synthetic WVU 2012 collection."""
 
-from .summary import (
-    DeviceSummary,
-    render_collection_summary,
-    summarize_collection,
-)
+from .summary import render_collection_summary, summarize_collection
 from .wvu2012 import (
     build_collection,
-    default_device_order,
     load_quality_arrays,
     subject_artifact_digest,
-    subject_session,
     warm_artifacts,
 )
 
 __all__ = [
     "build_collection",
-    "subject_session",
     "subject_artifact_digest",
     "load_quality_arrays",
     "warm_artifacts",
-    "default_device_order",
-    "DeviceSummary",
     "summarize_collection",
     "render_collection_summary",
 ]

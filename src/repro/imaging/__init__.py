@@ -12,30 +12,22 @@ from .extraction import (
     extract_template,
     recovery_metrics,
 )
-from .pipeline import ImagePipeline, template_from_bundle, template_to_arrays
+from .pipeline import ImagePipeline
 from .render import (
-    RenderedImpression,
     RenderSettings,
     render_finger,
     render_sensed_impression,
     to_uint8,
 )
-from .thinning import crossing_number, neighbourhood_planes, skeletonize
 
 __all__ = [
     "RenderSettings",
-    "RenderedImpression",
     "render_finger",
     "render_sensed_impression",
     "to_uint8",
-    "skeletonize",
-    "crossing_number",
-    "neighbourhood_planes",
     "ExtractionSettings",
     "binarize",
     "extract_template",
     "recovery_metrics",
     "ImagePipeline",
-    "template_to_arrays",
-    "template_from_bundle",
 ]

@@ -1,6 +1,5 @@
 """Interchange formats: INCITS 378 templates and score files."""
 
-from .incits378 import RecordMetadata, decode, encode
-from .scorefile import load_score_set, save_score_set
+from .incits378 import decode, encode
 
-__all__ = ["encode", "decode", "RecordMetadata", "save_score_set", "load_score_set"]
+__all__ = ["encode", "decode"]

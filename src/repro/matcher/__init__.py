@@ -1,24 +1,7 @@
 """Minutiae matching engines (Identix BioEngine substitute + a diverse peer)."""
 
-from .alignment import RigidTransform, candidate_pairs, estimate_alignment
-from .descriptors import DescriptorSet, build_descriptors, similarity_matrix, wrap_angle
-from .engine import BioEngineMatcher, MatchResult
-from .pairing import ANGLE_TOL_RAD, POSITION_TOL_MM, PairingResult, pair_minutiae
+from .engine import BioEngineMatcher
 from .ridgecount import RidgeGeometryMatcher
-from .scoring import (
-    MIN_PAIRS_FOR_IDENTITY,
-    MIN_TEMPLATE_MINUTIAE,
-    SCORE_SCALE,
-    ScoreBreakdown,
-    compute_score,
-)
-from .types import (
-    KIND_BIFURCATION,
-    KIND_ENDING,
-    Minutia,
-    Template,
-    template_from_arrays,
-)
 
 
 def build_matcher(name: str):
@@ -33,27 +16,5 @@ def build_matcher(name: str):
 __all__ = [
     "BioEngineMatcher",
     "RidgeGeometryMatcher",
-    "MatchResult",
     "build_matcher",
-    "RigidTransform",
-    "candidate_pairs",
-    "estimate_alignment",
-    "DescriptorSet",
-    "build_descriptors",
-    "similarity_matrix",
-    "wrap_angle",
-    "PairingResult",
-    "pair_minutiae",
-    "POSITION_TOL_MM",
-    "ANGLE_TOL_RAD",
-    "ScoreBreakdown",
-    "compute_score",
-    "SCORE_SCALE",
-    "MIN_PAIRS_FOR_IDENTITY",
-    "MIN_TEMPLATE_MINUTIAE",
-    "Minutia",
-    "Template",
-    "template_from_arrays",
-    "KIND_ENDING",
-    "KIND_BIFURCATION",
 ]

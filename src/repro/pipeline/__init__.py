@@ -6,21 +6,12 @@ toolbox into deployable verification engines: a device-blind baseline
 (device inference + TPS compensation + per-pair score normalization).
 """
 
-from .database import EnrolledRecord, EnrollmentError, TemplateDatabase
-from .decision import AuditLog, VerificationDecision
-from .verifier import (
-    InteropAwareVerifier,
-    Verifier,
-    train_interop_verifier_from_study,
-)
+from .database import EnrolledRecord, TemplateDatabase
+from .verifier import InteropAwareVerifier, Verifier
 
 __all__ = [
     "TemplateDatabase",
     "EnrolledRecord",
-    "EnrollmentError",
-    "AuditLog",
-    "VerificationDecision",
     "Verifier",
     "InteropAwareVerifier",
-    "train_interop_verifier_from_study",
 ]

@@ -1,26 +1,1 @@
 """NFIQ-style image quality assessment (substitute for NIST NFIQ)."""
-
-from .features import FEATURE_DIM, QualityFeatures
-from .nfiq import (
-    MAX_REACQUISITIONS,
-    QualityAssessment,
-    assess,
-    assess_template,
-    nfiq_level,
-    quality_utility,
-    recommend_reacquisition,
-    template_quality_features,
-)
-
-__all__ = [
-    "QualityFeatures",
-    "FEATURE_DIM",
-    "QualityAssessment",
-    "assess",
-    "assess_template",
-    "template_quality_features",
-    "nfiq_level",
-    "quality_utility",
-    "recommend_reacquisition",
-    "MAX_REACQUISITIONS",
-]

@@ -4,123 +4,19 @@ This package contains no biometrics; it is the plumbing that makes a
 616,000-comparison empirical study deterministic, resumable and fast.
 """
 
-from .artifacts import CODE_SALT, TIERS, ArtifactStore, canonical_digest
-from .cache import NpzDirectory, ScoreCache
-from .config import (
-    DEFAULT_SUBJECT_COUNT,
-    PAPER_DDMI_BUDGET,
-    PAPER_DMI_BUDGET,
-    PAPER_SUBJECT_COUNT,
-    StudyConfig,
-    resolve_worker_count,
-)
-from .errors import (
-    AcquisitionError,
-    CacheError,
-    CalibrationError,
-    ConfigurationError,
-    MatcherError,
-    PermanentError,
-    ReproError,
-    SynthesisError,
-    TemplateFormatError,
-    TransientError,
-    classify_failure,
-)
-from .faults import Fault, FaultInjector, parse_faults
-from .manifest import (
-    MANIFEST_SCHEMA,
-    RunManifest,
-    render_manifest,
-    validate_manifest,
-)
-from .parallel import (
-    chunk_indices,
-    parallel_map,
-    parallel_map_batched,
-    sequential_map,
-)
-from .progress import NullProgress, ProgressReporter
-from .rng import SeedTree, derive_seed
-from .supervisor import RetryPolicy, supervised_map_batched
-from .shm import SharedTemplateStore, SharedTemplateView, StoreHandle
-from .wal import (
-    WalCorruptionError,
-    WalError,
-    WalFollower,
-    WalRecord,
-    WriteAheadLog,
-)
-from .telemetry import (
-    MetricsRegistry,
-    NullRecorder,
-    Span,
-    TelemetryRecorder,
-    configure_logging,
-    disable_telemetry,
-    enable_telemetry,
-    get_logger,
-    get_recorder,
-    set_recorder,
-)
+from .cache import ScoreCache
+from .config import StudyConfig
+from .errors import ConfigurationError
+from .parallel import parallel_map_batched
+from .rng import SeedTree
+from .shm import SharedTemplateStore, SharedTemplateView
 
 __all__ = [
     "ScoreCache",
-    "NpzDirectory",
-    "ArtifactStore",
-    "canonical_digest",
-    "CODE_SALT",
-    "TIERS",
     "StudyConfig",
-    "resolve_worker_count",
-    "DEFAULT_SUBJECT_COUNT",
-    "PAPER_SUBJECT_COUNT",
-    "PAPER_DMI_BUDGET",
-    "PAPER_DDMI_BUDGET",
-    "ReproError",
     "ConfigurationError",
-    "SynthesisError",
-    "AcquisitionError",
-    "MatcherError",
-    "TemplateFormatError",
-    "CalibrationError",
-    "CacheError",
-    "TransientError",
-    "PermanentError",
-    "classify_failure",
-    "Fault",
-    "FaultInjector",
-    "parse_faults",
-    "RetryPolicy",
-    "supervised_map_batched",
-    "WriteAheadLog",
-    "WalFollower",
-    "WalRecord",
-    "WalError",
-    "WalCorruptionError",
-    "parallel_map",
     "parallel_map_batched",
-    "sequential_map",
-    "chunk_indices",
     "SharedTemplateStore",
     "SharedTemplateView",
-    "StoreHandle",
-    "ProgressReporter",
-    "NullProgress",
     "SeedTree",
-    "derive_seed",
-    "MetricsRegistry",
-    "Span",
-    "TelemetryRecorder",
-    "NullRecorder",
-    "get_recorder",
-    "set_recorder",
-    "enable_telemetry",
-    "disable_telemetry",
-    "configure_logging",
-    "get_logger",
-    "RunManifest",
-    "MANIFEST_SCHEMA",
-    "validate_manifest",
-    "render_manifest",
 ]

@@ -7,63 +7,13 @@ device and persists across devices — the study's interoperability
 mechanism, made explicit and ablatable.
 """
 
-from .base import Impression, Sensor
-from .distortion import (
-    RigidPlacement,
-    SmoothWarpField,
-    device_signature_field,
-    relative_warp_rms,
-    sample_placement,
-)
-from .inkcard import InkCardSensor
-from .noise import (
-    PresentationConditions,
-    contact_radii_mm,
-    detection_probability,
-    quality_conditions_factor,
-    sample_conditions,
-)
-from .optical import OpticalSensor
-from .protocol import (
-    Collection,
-    ImpressionKey,
-    ProtocolSettings,
-    acquire_subject_session,
-    build_sensor,
-)
-from .registry import (
-    DEVICE_ORDER,
-    DEVICE_PROFILES,
-    LIVESCAN_DEVICES,
-    DeviceProfile,
-    get_profile,
-    table1_rows,
-)
+from .protocol import ProtocolSettings, build_sensor
+from .registry import DEVICE_ORDER, DEVICE_PROFILES, LIVESCAN_DEVICES
 
 __all__ = [
-    "Sensor",
-    "Impression",
-    "OpticalSensor",
-    "InkCardSensor",
-    "RigidPlacement",
-    "SmoothWarpField",
-    "device_signature_field",
-    "relative_warp_rms",
-    "sample_placement",
-    "PresentationConditions",
-    "sample_conditions",
-    "contact_radii_mm",
-    "detection_probability",
-    "quality_conditions_factor",
-    "Collection",
-    "ImpressionKey",
     "ProtocolSettings",
-    "acquire_subject_session",
     "build_sensor",
-    "DeviceProfile",
     "DEVICE_PROFILES",
     "DEVICE_ORDER",
     "LIVESCAN_DEVICES",
-    "get_profile",
-    "table1_rows",
 ]

@@ -13,8 +13,8 @@ from a different device:
   concurrent comparisons into batched matcher dispatches;
 * :mod:`repro.service.server` — stdlib-asyncio HTTP server speaking
   the versioned ``/v1`` API (``/v1/enroll``, ``/v1/verify``,
-  ``/v1/identify``, ``/v1/healthz``, ``/v1/stats``; legacy unversioned
-  paths answer with a ``Deprecation`` header);
+  ``/v1/identify``, ``/v1/healthz``, ``/v1/stats``; nothing outside
+  ``/v1`` is served);
 * :mod:`repro.service.client` — blocking client for tests, smoke
   checks, and the load benchmark;
 * :mod:`repro.service.stats` — live request/latency/batch-size
@@ -52,127 +52,40 @@ with ``repro enroll``), or in-process::
     await server.start()
 """
 
-from .auth import (
-    ANONYMOUS,
-    ApiKeyAuthenticator,
-    AuthenticationError,
-    AuthorizationError,
-    ENDPOINT_ROLES,
-    KEYS_ENV,
-    Principal,
-    ROLES,
-    generate_key,
-    load_keyfile,
-    parse_keyfile,
-    write_keyfile,
-)
-from .batching import (
-    BatchingConfig,
-    DeadlineExceededError,
-    MicroBatcher,
-    ServiceOverloadError,
-)
-from .limits import (
-    ENDPOINT_CLASSES,
-    LimitsConfig,
-    RateLimiter,
-    RateLimitExceeded,
-    TokenBucket,
-)
-from .client import (
-    RETRYABLE_STATUSES,
-    ServiceClient,
-    ServiceClientError,
-    encode_template,
-)
-from .gallery import (
-    DEFAULT_MAX_NFIQ_LEVEL,
-    EnrollmentRejected,
-    GalleryError,
-    GalleryIndex,
-    GalleryReadOnlyError,
-    GalleryRecord,
-    UnknownIdentityError,
-)
-from .metrics import (
-    EXPOSITION_CONTENT_TYPE,
-    ExpositionParseError,
-    parse_exposition,
-    render_exposition,
-    sample_value,
-)
-from .reqlog import RequestLog, iter_reqlog, slow_threshold_ms
+from .auth import ApiKeyAuthenticator, generate_key, write_keyfile
+from .batching import BatchingConfig
+from .limits import LimitsConfig, RateLimiter
+from .client import ServiceClient, ServiceClientError, encode_template
+from .gallery import GalleryIndex, GalleryReadOnlyError
+from .metrics import EXPOSITION_CONTENT_TYPE, parse_exposition, sample_value
+from .reqlog import RequestLog, iter_reqlog
 from .runner import ServiceRunner
-from .server import (
-    DEFAULT_THRESHOLD,
-    ServerStartupError,
-    VerificationServer,
-    decode_template_field,
-)
-from ..core.identification import DEFAULT_CANDIDATE_K, IDENTIFY_MODES
+from .server import ServerStartupError, VerificationServer
 from .stats import ServiceStats
 from .top import run_top
-from .workers import (
-    WorkerBrokenError,
-    WorkerPool,
-    WorkerPoolConfig,
-    WorkerPoolDegradedError,
-    shard_of,
-)
+from .workers import shard_of
 
 __all__ = [
-    "ANONYMOUS",
     "ApiKeyAuthenticator",
-    "AuthenticationError",
-    "AuthorizationError",
-    "ENDPOINT_ROLES",
-    "ENDPOINT_CLASSES",
-    "KEYS_ENV",
-    "Principal",
-    "ROLES",
     "generate_key",
-    "load_keyfile",
-    "parse_keyfile",
     "write_keyfile",
     "LimitsConfig",
     "RateLimiter",
-    "RateLimitExceeded",
-    "TokenBucket",
     "BatchingConfig",
-    "MicroBatcher",
-    "ServiceOverloadError",
-    "DeadlineExceededError",
     "ServiceClient",
     "ServiceClientError",
     "encode_template",
     "GalleryIndex",
-    "GalleryRecord",
-    "GalleryError",
     "GalleryReadOnlyError",
-    "EnrollmentRejected",
-    "UnknownIdentityError",
-    "DEFAULT_MAX_NFIQ_LEVEL",
     "VerificationServer",
     "ServerStartupError",
     "ServiceRunner",
-    "decode_template_field",
-    "DEFAULT_THRESHOLD",
-    "DEFAULT_CANDIDATE_K",
-    "IDENTIFY_MODES",
-    "RETRYABLE_STATUSES",
     "ServiceStats",
     "EXPOSITION_CONTENT_TYPE",
-    "ExpositionParseError",
-    "render_exposition",
     "parse_exposition",
     "sample_value",
     "RequestLog",
     "iter_reqlog",
-    "slow_threshold_ms",
     "run_top",
-    "WorkerPool",
-    "WorkerPoolConfig",
-    "WorkerBrokenError",
-    "WorkerPoolDegradedError",
     "shard_of",
 ]

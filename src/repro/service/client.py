@@ -7,9 +7,8 @@ async stack.  Templates are serialized to base64 ANSI/INCITS 378 on the
 way out, mirroring :func:`repro.service.server.decode_template_field`
 on the way in.
 
-The client speaks the versioned ``/v1`` API by default; pass
-``api_base=""`` to exercise the deprecated unversioned paths (the
-deprecation tests do).  Error responses come back as
+The client speaks the versioned ``/v1`` API, the server's only
+surface.  Error responses come back as
 :class:`ServiceClientError` carrying the HTTP status and the server's
 error envelope — ``code``/``message``/``request_id`` are exposed as
 properties — so callers can assert on exact status codes (the smoke
@@ -136,7 +135,6 @@ class ServiceClient:
         host: str,
         port: int,
         timeout_s: float = 30.0,
-        api_base: str = "/v1",
         follower: Optional[Tuple[str, int]] = None,
         followers: Optional[Sequence[Tuple[str, int]]] = None,
         api_key: Optional[str] = None,
@@ -145,9 +143,6 @@ class ServiceClient:
         self._host = host
         self._port = port
         self._timeout_s = timeout_s
-        #: Path prefix for every endpoint; "" targets the deprecated
-        #: unversioned surface.
-        self.api_base = api_base.rstrip("/")
         self.api_key = api_key
         self.retry_rate_limited = max(0, int(retry_rate_limited))
         replicas: List[Tuple[str, int]] = []
@@ -158,7 +153,7 @@ class ServiceClient:
         self._followers: List["ServiceClient"] = [
             ServiceClient(
                 replica_host, int(replica_port),
-                timeout_s=timeout_s, api_base=api_base, api_key=api_key,
+                timeout_s=timeout_s, api_key=api_key,
             )
             for replica_host, replica_port in replicas
         ]
@@ -241,10 +236,6 @@ class ServiceClient:
                 raise ServiceClientError(status, data)
             return data
 
-    def _path(self, endpoint: str) -> str:
-        """An endpoint path under the client's API base."""
-        return f"{self.api_base}{endpoint}"
-
     @property
     def follower(self) -> Optional["ServiceClient"]:
         """The first read-replica client, when any was configured."""
@@ -285,15 +276,15 @@ class ServiceClient:
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
         """Liveness probe."""
-        return self._request("GET", self._path("/healthz"))
+        return self._request("GET", "/v1/healthz")
 
     def stats(self) -> dict:
         """The server's live counters and distributions."""
-        return self._request("GET", self._path("/stats"))
+        return self._request("GET", "/v1/stats")
 
     def metrics(self) -> str:
         """The raw Prometheus text exposition from ``GET /metrics``."""
-        status, raw = self._exchange("GET", self._path("/metrics"))
+        status, raw = self._exchange("GET", "/v1/metrics")
         text = raw.decode("utf-8", "replace")
         if status >= 400:
             raise ServiceClientError(status, {"error": text})
@@ -305,7 +296,7 @@ class ServiceClient:
         """Enroll one template (may raise 409 via ServiceClientError)."""
         return self._request(
             "POST",
-            self._path("/enroll"),
+            "/v1/enroll",
             {
                 "identity": identity,
                 "device": device,
@@ -331,7 +322,7 @@ class ServiceClient:
             payload["threshold"] = threshold
         if timeout_s is not None:
             payload["timeout_s"] = timeout_s
-        return self._read_request("POST", self._path("/verify"), payload)
+        return self._read_request("POST", "/v1/verify", payload)
 
     def identify(
         self,
@@ -365,11 +356,11 @@ class ServiceClient:
             payload["mode"] = mode
         if candidate_k is not None:
             payload["candidate_k"] = candidate_k
-        return self._read_request("POST", self._path("/identify"), payload)
+        return self._read_request("POST", "/v1/identify", payload)
 
     def delete(self, identity: str, device: str = "default") -> dict:
         """Remove one enrollment."""
-        return self._request("DELETE", self._path(f"/enroll/{device}/{identity}"))
+        return self._request("DELETE", f"/v1/enroll/{device}/{identity}")
 
     def retry_delay(self, default: float = 0.05) -> float:
         """How long to back off before retrying the last failed request.

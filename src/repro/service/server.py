@@ -17,10 +17,10 @@ GET       ``/v1/metrics``                    Prometheus text exposition of the s
 POST      ``/v1/admin/keys/reload``          force a keyfile reload (auth mode only)
 ========  =================================  ====================================
 
-The legacy unversioned paths (``/verify``, ...) still answer — with
-identical semantics — but carry a ``Deprecation: true`` header (RFC
-8594 style) so clients notice before the paths disappear.  Every error
-response, on every endpoint and status code, is one envelope shape::
+An unversioned path (``/verify``, ...) is an unknown path: 404
+``not_found``, after the same authentication any unknown path gets.
+Every error response, on every endpoint and status code, is one
+envelope shape::
 
     {"error": {"code": "unknown_identity", "message": "...",
                "request_id": "...", "kind": "UnknownIdentityError"}}
@@ -742,11 +742,8 @@ class VerificationServer:
         body: bytes,
     ) -> bool:
         started = time.perf_counter()
-        base_path, versioned = self._normalize_path(path)
+        base_path = self._normalize_path(path)
         endpoint = self._endpoint_for(method, base_path)
-        # Legacy unversioned paths still answer but are marked: clients
-        # get an RFC 8594-style Deprecation header until they move to /v1.
-        deprecated = not versioned and endpoint != "unknown"
         request_id = (
             sanitize_request_id(headers.get("x-request-id")) or new_request_id()
         )
@@ -798,14 +795,12 @@ class VerificationServer:
                 with trace.phase("respond"):
                     keep_alive = await self._respond(
                         writer, status, payload,
-                        request_id=request_id, deprecated=deprecated,
-                        retry_after=retry_after,
+                        request_id=request_id, retry_after=retry_after,
                     )
             else:
                 keep_alive = await self._respond(
                     writer, status, payload,
-                    request_id=request_id, deprecated=deprecated,
-                    retry_after=retry_after,
+                    request_id=request_id, retry_after=retry_after,
                 )
         finally:
             if token is not None:
@@ -912,7 +907,6 @@ class VerificationServer:
         status: int,
         payload,
         request_id: Optional[str] = None,
-        deprecated: bool = False,
         retry_after: Optional[float] = None,
     ) -> bool:
         if isinstance(payload, str):
@@ -925,8 +919,6 @@ class VerificationServer:
         extra = ""
         if request_id is not None:
             extra += f"X-Request-ID: {request_id}\r\n"
-        if deprecated:
-            extra += "Deprecation: true\r\n"
         if status == 401:
             extra += "WWW-Authenticate: Bearer\r\n"
         if status == 429 and retry_after is not None:
@@ -955,20 +947,16 @@ class VerificationServer:
     # Routing and endpoint handlers
     # ------------------------------------------------------------------
     @staticmethod
-    def _normalize_path(path: str) -> Tuple[str, bool]:
+    def _normalize_path(path: str) -> str:
         """Strip the query string and the ``/v1`` version prefix.
 
-        Returns ``(base_path, versioned)``; the router only ever sees
-        base paths, so ``/v1/verify`` and legacy ``/verify`` share one
-        handler (and one stats bucket) — the version only decides
-        whether the response carries a ``Deprecation`` header.
+        The router only ever sees base paths.  A path outside ``/v1``
+        maps to ``""``, which no route or endpoint matches.
         """
         path = path.split("?", 1)[0]
-        if path == "/v1":
-            return "/", True
-        if path.startswith("/v1/"):
-            return path[len("/v1"):], True
-        return path, False
+        if path == "/v1" or path.startswith("/v1/"):
+            return path[len("/v1"):] or "/"
+        return ""
 
     @staticmethod
     def _endpoint_for(method: str, path: str) -> str:
@@ -1028,7 +1016,8 @@ class VerificationServer:
                             "/healthz", "/stats", "/metrics",
                             "/admin/keys/reload")
             else 404,
-            f"no route for {method} {path}",
+            f"no route for {method} {path}" if path
+            else "only /v1 paths are served",
         )
 
     @staticmethod

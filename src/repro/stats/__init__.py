@@ -6,56 +6,16 @@ intervals for stating the precision of reproduced numbers.  The test
 suite cross-validates :func:`kendall_tau` against scipy where available.
 """
 
-from .bootstrap import BootstrapInterval, bootstrap_ci, bootstrap_fnmr_at_fmr
-from .comparison import McNemarResult, mcnemar_test, render_det, wilson_interval
-from .descriptive import Summary, overlap_coefficient, proportion, summarize
-from .histogram import (
-    FrequencySurface,
-    Histogram,
-    frequency_surface,
-    render_histogram,
-    render_overlaid,
-    score_histogram,
-)
-from .kendall import KendallResult, erfc_two_sided, kendall_tau
-from .roc import (
-    RocCurve,
-    det_points,
-    equal_error_rate,
-    fmr_at_threshold,
-    fnmr_at_fmr,
-    fnmr_at_threshold,
-    roc_curve,
-    threshold_at_fmr,
-)
+from .comparison import wilson_interval
+from .descriptive import summarize
+from .histogram import score_histogram
+from .roc import det_points, fnmr_at_fmr, threshold_at_fmr
 
 __all__ = [
-    "BootstrapInterval",
     "wilson_interval",
-    "McNemarResult",
-    "mcnemar_test",
-    "render_det",
-    "bootstrap_ci",
-    "bootstrap_fnmr_at_fmr",
-    "Summary",
     "summarize",
-    "proportion",
-    "overlap_coefficient",
-    "Histogram",
     "score_histogram",
-    "render_histogram",
-    "render_overlaid",
-    "FrequencySurface",
-    "frequency_surface",
-    "KendallResult",
-    "kendall_tau",
-    "erfc_two_sided",
-    "RocCurve",
-    "roc_curve",
-    "equal_error_rate",
     "det_points",
-    "fmr_at_threshold",
-    "fnmr_at_threshold",
     "fnmr_at_fmr",
     "threshold_at_fmr",
 ]

@@ -6,58 +6,17 @@ zero-pole model, ridge-consistent master minutiae, per-subject
 interaction traits, and Figure 1 demographics.
 """
 
-from .master import (
-    RIDGE_PERIOD_MM,
-    TYPE_BIFURCATION,
-    TYPE_ENDING,
-    MasterFinger,
-    MasterMinutia,
-    synthesize_master_finger,
-)
-from .orientation import OrientationField, Singularity, sample_field_grid
-from .pattern import (
-    PATTERN_FREQUENCIES,
-    PatternClass,
-    build_orientation_field,
-    sample_pattern_class,
-)
-from .population import FINGER_LABELS, FINGER_POSITION_CODES, Population, Subject
+from .master import synthesize_master_finger
+from .pattern import PatternClass
+from .population import FINGER_LABELS, FINGER_POSITION_CODES, Population
 from .ridges import ascii_preview, read_pgm, render_ridge_image, write_pgm
-from .subject import (
-    AGE_GROUPS,
-    ETHNICITY_GROUPS,
-    Demographics,
-    SubjectTraits,
-    demographic_histogram,
-    sample_demographics,
-    sample_traits,
-)
 
 __all__ = [
-    "MasterFinger",
-    "MasterMinutia",
     "synthesize_master_finger",
-    "RIDGE_PERIOD_MM",
-    "TYPE_ENDING",
-    "TYPE_BIFURCATION",
-    "OrientationField",
-    "Singularity",
-    "sample_field_grid",
     "PatternClass",
-    "PATTERN_FREQUENCIES",
-    "sample_pattern_class",
-    "build_orientation_field",
     "Population",
-    "Subject",
     "FINGER_LABELS",
     "FINGER_POSITION_CODES",
-    "Demographics",
-    "SubjectTraits",
-    "AGE_GROUPS",
-    "ETHNICITY_GROUPS",
-    "sample_demographics",
-    "sample_traits",
-    "demographic_histogram",
     "render_ridge_image",
     "write_pgm",
     "read_pgm",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import InteroperabilityStudy, StudyConfig
+from repro.api import InteroperabilityStudy, StudyConfig
 from repro.core.scores import GALLERY_SET, PROBE_SET
 from repro.sensors import ProtocolSettings
 

@@ -1,6 +1,4 @@
-"""The ``repro.api`` facade: entry points, re-exports, deprecation shims."""
-
-import warnings
+"""The ``repro.api`` facade: entry points and re-exports."""
 
 import numpy as np
 import pytest
@@ -108,18 +106,14 @@ class TestImportSurface:
         missing = [name for name in api.__all__ if not hasattr(api, name)]
         assert missing == []
 
-    def test_legacy_top_level_import_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            getattr(repro, "InteroperabilityStudy")
-
-    def test_facade_names_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert repro.run_study is api.run_study
-            assert repro.StudyResult is api.StudyResult
+    def test_legacy_top_level_import_raises(self):
+        with pytest.raises(ImportError):
+            from repro import InteroperabilityStudy  # noqa: F401
 
     def test_legacy_names_resolve_to_api_objects(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in ("InteroperabilityStudy", "StudyConfig", "ScoreSet"):
-                assert getattr(repro, name) is getattr(api, name)
+        from repro.core.study import InteroperabilityStudy
+
+        for name in ("InteroperabilityStudy", "StudyConfig", "run_study"):
+            assert not hasattr(repro, name)
+            assert getattr(api, name) is not None
+        assert api.InteroperabilityStudy is InteroperabilityStudy

@@ -1,4 +1,4 @@
-"""The CLI defaults numpy's BLAS to one thread; ``import repro`` stays lazy.
+"""The CLI defaults numpy's BLAS to one thread; ``import repro`` loads no numpy.
 
 Each check runs in a fresh interpreter, because the default only acts
 before numpy loads and this test process has loaded it long ago.
@@ -43,31 +43,22 @@ class TestLazyPackageImport:
         )
         assert out == f"False {repro.__version__}"
 
-    def test_facade_legacy_and_dir_unchanged(self):
+    def test_import_repro_exposes_only_version(self):
         out = run_python(
-            "import json, warnings, repro\n"
-            "with warnings.catch_warnings(record=True) as caught:\n"
-            "    warnings.simplefilter('always')\n"
-            "    from repro import run_study, StudyResult\n"
-            "    import repro.api as api\n"
-            "    facade = [getattr(repro, n) is getattr(api, n) for n in\n"
-            "              ('run_study', 'load_scores', 'compare_devices',\n"
-            "               'StudyResult', 'DeviceComparison')]\n"
-            "    facade.append(repro.api is api)\n"
-            "    quiet = len(caught)\n"
+            "import json, sys, repro\n"
+            "try:\n"
             "    from repro import Template\n"
-            "    facade.append(Template is api.Template)\n"
-            "print(json.dumps({'facade': facade, 'quiet': quiet,\n"
-            "    'warned': sorted({w.category.__name__ for w in caught}),\n"
-            "    'dir': sorted(set(dir(repro)) & set(repro.__all__)),\n"
-            "    'all': sorted(repro.__all__), 'core': repro.core.__name__}))"
+            "    legacy = 'imported'\n"
+            "except ImportError:\n"
+            "    legacy = 'ImportError'\n"
+            "print(json.dumps({'public': sorted(n for n in dir(repro)\n"
+            "                                   if not n.startswith('_')),\n"
+            "    'version': repro.__version__, 'legacy': legacy,\n"
+            "    'numpy': 'numpy' in sys.modules}))"
         )
         got = json.loads(out)
-        assert all(got["facade"])
-        assert got["quiet"] == 0
-        assert got["warned"] == ["DeprecationWarning"]
-        assert got["dir"] == got["all"]
-        assert got["core"] == "repro.core"
+        assert got == {"public": [], "version": repro.__version__,
+                       "legacy": "ImportError", "numpy": False}
 
 
 class TestCliBlasDefault:

@@ -29,6 +29,7 @@ from repro.service import (
     sample_value,
 )
 
+from .test_auth import ADMIN_KEY, READ_KEY, keyed_service  # noqa: F401
 from .test_batching import GatedMatcher
 
 FINGER = "right_index"
@@ -183,7 +184,7 @@ class TestStatusCodes:
         with pytest.raises(ServiceClientError) as excinfo:
             live._request(
                 "POST",
-                "/verify",
+                "/v1/verify",
                 {"identity": "subject-0", "device": "D0", "template": "!!!"},
             )
         assert excinfo.value.status == 400
@@ -193,7 +194,7 @@ class TestStatusCodes:
         with pytest.raises(ServiceClientError) as excinfo:
             live._request(
                 "POST",
-                "/verify",
+                "/v1/verify",
                 {"identity": "subject-0", "device": "D0", "template": garbage},
             )
         assert excinfo.value.status == 400
@@ -201,7 +202,7 @@ class TestStatusCodes:
     def test_missing_identity_400(self, live, tiny_collection):
         template = tiny_collection.get(0, FINGER, "D0", 1).template
         with pytest.raises(ServiceClientError) as excinfo:
-            live._request("POST", "/verify", {"template": encode_template(template)})
+            live._request("POST", "/v1/verify", {"template": encode_template(template)})
         assert excinfo.value.status == 400
 
     def test_bad_threshold_type_400(self, live, tiny_collection):
@@ -209,7 +210,7 @@ class TestStatusCodes:
         with pytest.raises(ServiceClientError) as excinfo:
             live._request(
                 "POST",
-                "/verify",
+                "/v1/verify",
                 {
                     "identity": "subject-0",
                     "device": "D0",
@@ -221,7 +222,7 @@ class TestStatusCodes:
 
     def test_wrong_method_405(self, live):
         with pytest.raises(ServiceClientError) as excinfo:
-            live._request("GET", "/verify")
+            live._request("GET", "/v1/verify")
         assert excinfo.value.status == 405
 
     def test_unknown_route_404(self, live):
@@ -337,7 +338,7 @@ class TestMetricsEndpoint:
 
     def test_metrics_is_get_only(self, live):
         with pytest.raises(ServiceClientError) as excinfo:
-            live._request("POST", "/metrics")
+            live._request("POST", "/v1/metrics")
         assert excinfo.value.status == 405
 
 
@@ -430,29 +431,41 @@ class TestConcurrency:
 
 
 class TestVersionedApi:
-    """Satellite (a): the /v1 surface, deprecation headers, envelopes."""
+    """/v1 is the only surface; unversioned paths are unknown."""
 
     def test_client_targets_v1_by_default(self, live):
-        assert live.api_base == "/v1"
+        # Only /v1 paths route, so a healthy answer proves the prefix.
         assert live.healthz()["status"] == "ok"
         assert "deprecation" not in live.last_headers
 
-    def test_legacy_paths_answer_with_deprecation_header(self, live):
-        legacy = ServiceClient(live._host, live._port, api_base="")
-        with legacy:
-            assert legacy.healthz()["status"] == "ok"
-            assert legacy.last_headers.get("deprecation") == "true"
-            legacy.stats()
-            assert legacy.last_headers.get("deprecation") == "true"
+    def test_legacy_paths_answer_404_not_found(self, live, tiny_collection):
+        verify = {
+            "identity": "subject-0",
+            "device": "D0",
+            "template": encode_template(
+                tiny_collection.get(0, FINGER, "D0", 1).template
+            ),
+        }
+        for method, path, payload in (
+            ("GET", "/healthz", None), ("POST", "/verify", verify),
+        ):
+            with pytest.raises(ServiceClientError) as excinfo:
+                live._request(method, path, payload)
+            assert excinfo.value.status == 404
+            assert excinfo.value.code == "not_found"
+            assert "deprecation" not in live.last_headers
+            assert live._request(method, "/v1" + path, payload)
 
-    def test_v1_and_legacy_hit_the_same_router(self, live, tiny_collection):
-        template = tiny_collection.get(0, FINGER, "D0", 1).template
-        v1 = live.verify("subject-0", template, device="D0")
-        legacy = ServiceClient(live._host, live._port, api_base="")
-        with legacy:
-            old = legacy.verify("subject-0", template, device="D0")
-        assert v1["score"] == old["score"]
-        assert v1["decision"] == old["decision"]
+    def test_keyed_server_refuses_legacy_path_like_unknown(self, keyed_service):
+        host, port, _, _ = keyed_service
+        expected = {None: (401, "unauthorized"), READ_KEY: (403, "forbidden"),
+                    ADMIN_KEY: (404, "not_found")}
+        for api_key, refusal in expected.items():
+            with ServiceClient(host, port, api_key=api_key) as client:
+                for path in ("/nope", "/healthz", "/verify"):
+                    with pytest.raises(ServiceClientError) as excinfo:
+                        client._request("GET", path)
+                    assert (excinfo.value.status, excinfo.value.code) == refusal
 
     def test_unknown_route_is_not_marked_deprecated(self, live):
         with pytest.raises(ServiceClientError):
@@ -460,8 +473,7 @@ class TestVersionedApi:
         assert "deprecation" not in live.last_headers
 
     def test_bare_v1_404s_without_deprecation(self, live):
-        # "/v1" normalizes to "/", which is not a route — but it is
-        # versioned, so the error must not claim deprecation.
+        # "/v1" normalizes to "/", which is not a route.
         with pytest.raises(ServiceClientError) as excinfo:
             live._request("GET", "/v1")
         assert excinfo.value.status == 404
@@ -568,12 +580,10 @@ class TestErrorEnvelope:
         assert error.retryable
 
     def test_legacy_errors_carry_the_same_envelope(self, live):
-        legacy = ServiceClient(live._host, live._port, api_base="")
-        with legacy:
-            with pytest.raises(ServiceClientError) as excinfo:
-                legacy._request("GET", "/verify")
-        self._assert_envelope(excinfo.value, 405, "method_not_allowed")
-        assert legacy.last_headers.get("deprecation") == "true"
+        with pytest.raises(ServiceClientError) as excinfo:
+            live._request("GET", "/verify")
+        self._assert_envelope(excinfo.value, 404, "not_found")
+        assert "deprecation" not in live.last_headers
 
 
 class TestTwoStageIdentify:

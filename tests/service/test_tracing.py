@@ -80,7 +80,7 @@ class TestRequestIdEcho:
         client, _ = observed
         connection = client._connect()
         connection.request(
-            "GET", "/healthz", headers={"X-Request-ID": "bad value!{}"}
+            "GET", "/v1/healthz", headers={"X-Request-ID": "bad value!{}"}
         )
         response = connection.getresponse()
         response.read()
